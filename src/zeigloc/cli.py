@@ -88,8 +88,7 @@ def _fmt(v, nd: int = 4) -> str:
 # ------------------------------------------------------------- doc sections
 
 
-def _info_section(A: Tensor, seed: int = 42) -> dict:
-    wsc = weak_symmetry_check(A, seed=seed)
+def _info_section(A: Tensor, wsc) -> dict:
     return {
         "order": A.order,
         "dim": A.dim,
@@ -297,13 +296,13 @@ def _oracle_cfg(args) -> OracleConfig:
 
 def _run_oracle(A, args):
     if args.method == "circle" or (args.method == "auto" and A.dim == 2):
-        return circle_solve(A, samples=args.samples)
+        return circle_solve(A)
     return sshopm(A, _oracle_cfg(args))
 
 
 def cmd_info(args) -> int:
     A = load_tensor(args.path)
-    section = _info_section(A, seed=args.seed)
+    section = _info_section(A, weak_symmetry_check(A, seed=args.seed))
     if args.format == "structured":
         print(render_json({"meta": _meta(args, "info"), "info": section}))
     else:
@@ -362,14 +361,14 @@ def cmd_verify(args) -> int:
     agg = row_aggregates(A)
     reports = build_sets(A, agg)
     bounds = bound_report(A, agg, seed=args.seed)
-    chain = inclusion_chain_check(A)
+    chain = inclusion_chain_check(A, reports=reports)
     pairs = _run_oracle(A, args)
     checked = _corrupted(reports) if args.corrupt_sets else reports
     doc = verify_inclusion(A, pairs, checked, bounds, slack=args.slack)
     if args.format == "structured":
         document = {
             "meta": _meta(args, "verify"),
-            "info": _info_section(A, seed=args.seed),
+            "info": _info_section(A, bounds.weak_symmetry),
             "sets": _sets_section(reports),
             "bounds": _bounds_section(bounds),
             "eigenpairs": _eigen_section(pairs),
@@ -419,7 +418,6 @@ def _add_oracle_opts(sub):
     sub.add_argument("--seed", type=int, default=42)
     sub.add_argument("--tol", type=float, default=1e-10, help="iterate-change stop for sshopm")
     sub.add_argument("--max-iter", type=int, default=1000)
-    sub.add_argument("--samples", type=int, default=3600, help="grid size for the circle sweep")
 
 
 def build_parser() -> argparse.ArgumentParser:

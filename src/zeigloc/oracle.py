@@ -1,11 +1,11 @@
 """Desk-scale Z-eigenpair solvers used to verify the localization sets.
 
-Two tiers: an exhaustive circle sweep for dimension 2 (every unit vector is
-an angle, so eigenvectors are roots of a single trigonometric function), and
-a shifted power iteration with random restarts for general small dimension.
-The power iteration makes no completeness claim; every accepted pair is a
-genuine eigenpair up to the residual gate, which is all the inclusion checks
-need.
+Two tiers: an exact solver for dimension 2 (on x = (1, t) the eigen
+equation is one polynomial of degree at most m in t, so the eigenvectors are
+its real roots), and a shifted power iteration with random restarts for
+general small dimension.  The power iteration makes no completeness claim;
+every accepted pair is a genuine eigenpair up to the residual gate, which is
+all the inclusion checks need.
 """
 
 import math
@@ -96,68 +96,60 @@ def _canonical_sign(A: Tensor, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def circle_solve(A: Tensor, samples: int = 3600, dedupe_tol: float = 1e-6) -> list[ZEigenPair]:
-    """All Z-eigenpairs of a dimension-2 tensor by angle sweep.
+def _newton(coeffs: np.ndarray, t: float) -> float:
+    """Newton steps on the polynomial with descending ``coeffs`` while |value| shrinks."""
+    deriv = np.polyder(coeffs)
+    for _ in range(8):
+        d = np.polyval(deriv, t)
+        t_next = t - np.polyval(coeffs, t) / d if d != 0.0 else t
+        if not abs(np.polyval(coeffs, t_next)) < abs(np.polyval(coeffs, t)):
+            break  # converged, a flat point, or a non-finite step
+        t = t_next
+    return float(t)
 
-    On the unit circle x(theta) = (cos theta, sin theta) the eigen equation
-    holds exactly where g(theta) = (A x^(m-1))_1 x_2 - (A x^(m-1))_2 x_1
-    vanishes, and |g| equals the eigen residual.  Sign changes of g on a
-    uniform grid are refined by bisection; for even order the antipodal root
-    carries the same eigenvalue and is merged with multiplicity 2.
+
+def _circle_pairs(A: Tensor, lines) -> list[ZEigenPair]:
+    """Pairs at both unit vectors d and -d of each line, through the residual gate."""
+    pairs = (_make_pair(A, _canonical_sign(A, s * d), "circle") for d in lines for s in (1.0, -1.0))
+    return [p for p in pairs if p.residual <= RESIDUAL_ACCEPT]
+
+
+def circle_solve(A: Tensor, dedupe_tol: float = 1e-6) -> list[ZEigenPair]:
+    """All Z-eigenpairs of a dimension-2 tensor from the roots of one polynomial.
+
+    On x = (1, t) with y = A x^(m-1), x is an eigenvector exactly where
+    g(t) = y_1(t) t - y_2(t) = 0.  In y_i the coefficient of t^k sums the
+    entries whose tail holds k indices equal to 2, so g has degree <= m.  Its
+    real roots are polished by Newton steps, in s = 1/t when |t| > 1, and
+    (0, 1) is the root at infinity when a[1, 2, ..., 2] = 0.  For even order
+    d and -d merge with multiplicity 2; for odd order they carry +-lambda.
+    If g vanishes, every unit vector is an eigenvector and the distinct
+    values at (+-1, 0) are reported.
     """
     if A.dim != 2:
         raise ValueError(f"circle_solve needs dimension 2, got {A.dim}")
-    if samples < 360:
-        raise ValueError(f"need samples >= 360, got {samples}")
+    flat = A.entries.reshape(2, -1)
+    twos = np.array([bin(k).count("1") for k in range(flat.shape[1])])
+    y1, y2 = (np.bincount(twos, weights=row, minlength=A.order) for row in flat)
+    g = np.append(y1[::-1], 0.0) - np.append(0.0, y2[::-1])  # descending powers of t
 
-    def g_at(theta: float) -> float:
-        x = np.array([math.cos(theta), math.sin(theta)])
-        y = apply(A, x)
-        return float(y[0] * x[1] - y[1] * x[0])
-
-    thetas = [2.0 * math.pi * k / samples for k in range(samples)]
-    gs = [g_at(t) for t in thetas]
-
-    scale = 1.0 + A.max_abs_entry()
-    if max(abs(v) for v in gs) <= 1e-12 * scale:
-        # A x^(m-1) is parallel to x in every sampled direction: every unit
-        # vector is an eigenvector; report the distinct eigenvalues only
-        pairs = []
-        for theta in thetas:
-            x = _canonical_sign(A, np.array([math.cos(theta), math.sin(theta)]))
-            p = _make_pair(A, x, "circle")
-            if p.residual <= RESIDUAL_ACCEPT:
-                pairs.append(p)
-        kept = _dedupe(pairs, dedupe_tol, math.pi)  # any direction, value decides
+    if np.max(np.abs(g)) <= 1e-12 * (1.0 + A.max_abs_entry()):
+        kept = _dedupe(_circle_pairs(A, [np.array([1.0, 0.0])]), dedupe_tol, math.pi)
         return _sorted_pairs(replace(p, multiplicity=1) for p in kept)
 
-    roots = []
-    for k in range(samples):
-        t0, g0 = thetas[k], gs[k]
-        t1 = thetas[k + 1] if k + 1 < samples else 2.0 * math.pi
-        g1 = gs[(k + 1) % samples]
-        if g0 == 0.0:
-            roots.append(t0)
-        elif g0 * g1 < 0.0:
-            lo, hi, glo = t0, t1, g0
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                gm = g_at(mid)
-                if abs(gm) <= 1e-12 or hi - lo <= 1e-15:
-                    break
-                if (gm > 0.0) == (glo > 0.0):
-                    lo, glo = mid, gm
-                else:
-                    hi = mid
-            roots.append(0.5 * (lo + hi))
-
-    pairs = []
-    for theta in roots:
-        x = _canonical_sign(A, np.array([math.cos(theta), math.sin(theta)]))
-        p = _make_pair(A, x, "circle")
-        if p.residual <= RESIDUAL_ACCEPT:
-            pairs.append(p)
-    return _sorted_pairs(_dedupe(pairs, dedupe_tol, 1e-5))
+    lines = [np.array([0.0, 1.0])] if g[0] == 0.0 else []
+    roots = np.roots(g)
+    for t in roots.real[np.abs(roots.imag) <= 1e-6 * (1.0 + np.abs(roots))]:
+        if abs(t) <= 1.0:
+            x = np.array([1.0, _newton(g, t)])
+        else:
+            x = np.array([_newton(g[::-1], 1.0 / t), 1.0])
+        x /= np.linalg.norm(x)
+        # one direction per line: the two halves of a double root would
+        # otherwise merge into multiplicity 4
+        if all(_axis_angle(x, d) > 1e-5 for d in lines):
+            lines.append(x)
+    return _sorted_pairs(_dedupe(_circle_pairs(A, lines), dedupe_tol, 1e-5))
 
 
 def sshopm(A: Tensor, cfg: OracleConfig | None = None) -> list[ZEigenPair]:
@@ -213,11 +205,10 @@ def sshopm(A: Tensor, cfg: OracleConfig | None = None) -> list[ZEigenPair]:
     return _sorted_pairs(kept)
 
 
-def solve(A: Tensor, cfg: OracleConfig | None = None, samples: int = 3600) -> list[ZEigenPair]:
-    """Default oracle: exhaustive circle sweep when n == 2, else sshopm."""
+def solve(A: Tensor, cfg: OracleConfig | None = None) -> list[ZEigenPair]:
+    """Default oracle: exact polynomial roots when n == 2, else sshopm."""
     if A.dim == 2:
-        dedupe = cfg.dedupe_tol if cfg is not None else 1e-6
-        return circle_solve(A, samples=samples, dedupe_tol=dedupe)
+        return circle_solve(A, dedupe_tol=(cfg or OracleConfig()).dedupe_tol)
     return sshopm(A, cfg)
 
 

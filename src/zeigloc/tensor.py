@@ -141,15 +141,22 @@ def is_nonnegative(A: Tensor) -> bool:
 
 
 def is_symmetric(A: Tensor, tol: float = 1e-12) -> bool:
-    """True iff entries are invariant under every permutation of the index tuple."""
+    """True iff entries are invariant under every permutation of the index tuple.
+
+    The spread (max - min) of each index orbit, keyed by the sorted index
+    tuple, is the largest |a[idx] - a[perm(idx)]|, so the verdict is exact.
+    """
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    for perm in itertools.permutations(range(A.order)):
-        if perm == tuple(range(A.order)):
-            continue
-        if np.max(np.abs(A.entries - np.transpose(A.entries, perm))) > tol:
-            return False
-    return True
+    shape, values = A.entries.shape, A.entries.ravel()
+    hi = np.full(values.size, -np.inf)
+    lo = np.full(values.size, np.inf)
+    # blocks of 2^16 entries bound the index arrays, order ints per entry
+    for flat in np.array_split(np.arange(values.size), values.size // 65536 + 1):
+        keys = np.ravel_multi_index(np.sort(np.unravel_index(flat, shape), axis=0), shape)
+        np.maximum.at(hi, keys, values[flat])
+        np.minimum.at(lo, keys, values[flat])
+    return bool(np.max(hi - lo) <= tol)
 
 
 @dataclass(frozen=True)

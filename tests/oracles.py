@@ -83,3 +83,41 @@ def random_unit_vector(rng, dim: int):
         nrm = np.linalg.norm(x)
         if nrm > 1e-6:
             return x / nrm
+
+
+def n2_eigenvalues(entries: np.ndarray) -> list[float]:
+    """All real Z-eigenvalues of a dimension-2 tensor, sorted, one per pair
+    as ``circle_solve`` reports them.
+
+    On x = (1, t), g(t) = y_1 t - y_2 with y = A x^(m-1) has degree at most m.
+    Its coefficients come from interpolating ``brute_apply`` at m + 1
+    Chebyshev nodes.  Each real root t is the direction (1, t); the direction
+    (0, 1) is added when y_1 vanishes there.  Odd order also counts -lambda
+    at -x, unless lambda is 0.  Interpolation noise can push a root of
+    multiplicity 3 or more off the real axis, so panels avoid such roots.
+    """
+    m = entries.ndim
+    nodes = np.cos(np.pi * (np.arange(m + 1) + 0.5) / (m + 1))
+    values = []
+    for t in nodes:
+        y = brute_apply(entries, [1.0, t])
+        values.append(y[0] * t - y[1])
+    coeffs = np.polynomial.polynomial.polyfit(nodes, values, m)
+    lines = [
+        np.array([1.0, r.real]) / np.hypot(1.0, r.real)
+        for r in np.polynomial.polynomial.polyroots(coeffs)
+        if abs(r.imag) <= 1e-6 * (1.0 + abs(r))
+    ]
+    if brute_apply(entries, [0.0, 1.0])[0] == 0.0:
+        lines.append(np.array([0.0, 1.0]))
+    distinct = []
+    for x in lines:
+        if all(abs(float(x @ d)) < 1.0 - 1e-10 for d in distinct):
+            distinct.append(x)
+    out = []
+    for x in distinct:
+        lam = float(x @ brute_apply(entries, x))
+        out.append(lam)
+        if m % 2 == 1 and abs(lam) > 5e-7:
+            out.append(-lam)
+    return sorted(out)

@@ -1,7 +1,10 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from oracles import random_symmetric_tensor, random_tensor
+from oracles import n2_eigenvalues, random_symmetric_tensor, random_tensor
 from zeigloc.bounds import bound_report
 from zeigloc.localization import build_sets
 from zeigloc.oracle import (
@@ -65,11 +68,56 @@ def test_circle_solve_diagonal_contains_coordinate_pairs():
             assert abs(abs(p.vector[1]) - 1.0) <= 1e-9
 
 
+def _double_root_tensor() -> Tensor:
+    # symmetric order-4 form of c^4 + c^3 s in coordinates rotated by 0.3 rad;
+    # g has a double root, with no sign change, at x = (-sin 0.3, cos 0.3)
+    c = np.array([math.cos(0.3), math.sin(0.3)])
+    s = np.array([-math.sin(0.3), math.cos(0.3)])
+    cccs = np.einsum("i,j,k,l->ijkl", c, c, c, s)
+    sym = sum(np.transpose(cccs, p) for p in itertools.permutations(range(4))) / 24.0
+    return Tensor(4, 2, np.einsum("i,j,k,l->ijkl", c, c, c, c) + sym)
+
+
+def test_circle_solve_reports_double_root():
+    pairs = circle_solve(_double_root_tensor())
+    x = np.array([-math.sin(0.3), math.cos(0.3)])
+    hits = [p for p in pairs if abs(p.value) <= 1e-9 and abs(p.vector @ x) >= 1.0 - 1e-9]
+    assert len(hits) == 1
+    assert hits[0].multiplicity == 2  # one line, both signs; not 4 from the two root halves
+    assert all(p.multiplicity == 2 for p in pairs)
+
+
+def test_circle_solve_every_direction_an_eigenvector():
+    # symmetric form of (x.x)^2: A x^3 = |x|^2 x, so g vanishes identically
+    arr = np.zeros((2, 2, 2, 2))
+    for i, j, k, l in itertools.product(range(2), repeat=4):
+        arr[i, j, k, l] = ((i == j) * (k == l) + (i == k) * (j == l) + (i == l) * (j == k)) / 3.0
+    pairs = circle_solve(Tensor(4, 2, arr))
+    assert len(pairs) == 1
+    assert pairs[0].value == pytest.approx(1.0, abs=1e-12)
+    assert pairs[0].multiplicity == 1
+
+
+def test_circle_solve_matches_interpolation_reference():
+    rng = np.random.default_rng(131)
+    panel = [_double_root_tensor()]
+    for m in range(3, 9):
+        for _ in range(3):
+            panel.append(random_tensor(rng, m, 2))
+            panel.append(random_symmetric_tensor(rng, m, 2, low=-1.0))
+        # a[1,2,...,2] = 0: the direction (0, 1) is the root at infinity
+        arr = rng.uniform(-1.0, 1.0, (2,) * m)
+        arr[(0,) + (1,) * (m - 1)] = 0.0
+        panel.append(Tensor(m, 2, arr))
+    for A in panel:
+        want = n2_eigenvalues(A.entries)
+        got = sorted(p.value for p in circle_solve(A))
+        assert got == pytest.approx(want, rel=1e-8, abs=1e-9), A
+
+
 def test_circle_solve_preconditions(example1, example2):
     with pytest.raises(ValueError):
         circle_solve(example2)
-    with pytest.raises(ValueError):
-        circle_solve(example1, samples=100)
 
 
 def test_circle_solve_deterministic(example1):
@@ -140,7 +188,7 @@ def test_sshopm_matches_circle_on_dimension2():
     for m in (3, 4):
         for _ in range(3):
             A = random_tensor(rng, m, 2)
-            circle_values = [p.value for p in circle_solve(A, samples=720)]
+            circle_values = [p.value for p in circle_solve(A)]
             for p in sshopm(A, OracleConfig(starts=8, seed=19, tol=1e-13, max_iter=2000)):
                 assert any(abs(p.value - v) <= 1e-6 for v in circle_values)
 

@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import brute_apply, brute_polyval, fd_gradient, random_tensor, random_unit_vector
+from oracles import (
+    brute_apply,
+    brute_polyval,
+    fd_gradient,
+    random_symmetric_tensor,
+    random_tensor,
+    random_unit_vector,
+)
 from zeigloc.tensor import (
     Tensor,
     TensorFormatError,
@@ -259,6 +266,31 @@ def test_is_symmetric(example1, example2):
     assert is_symmetric(example1)
     assert not is_symmetric(example2)  # a_123 = 3 vs a_213 = 2.5
     assert is_symmetric(Tensor.zeros(3, 2))
+
+
+def test_is_symmetric_matches_all_permutations_max():
+    rng = np.random.default_rng(41)
+    panel = []
+    for _ in range(40):
+        m, n = int(rng.integers(2, 6)), int(rng.integers(2, 4))
+        arr = random_symmetric_tensor(rng, m, n, low=-1.0, high=1.0).entries.copy()
+        for _ in range(int(rng.integers(0, 3))):
+            arr[tuple(rng.integers(0, n, m))] += rng.choice([5e-13, 2e-12, 1e-6])
+        panel.append(arr)
+    # 90000 entries: the orbit of (1, 300) spans two blocks of the one-pass test
+    big = rng.uniform(-1.0, 1.0, (300, 300))
+    big = big + big.T
+    big[0, 299] += 3e-12
+    panel.append(big)
+    for arr in panel:
+        m, n = arr.ndim, arr.shape[0]
+        A = Tensor(m, n, arr)
+        spread = max(
+            float(np.max(np.abs(arr - np.transpose(arr, p))))
+            for p in itertools.permutations(range(m))
+        )
+        for tol in (0.0, 1e-12, 1e-9, spread, float(np.nextafter(spread, 0.0))):
+            assert is_symmetric(A, tol) == (spread <= tol)
 
 
 def test_weak_symmetry_example2(example2):
