@@ -7,13 +7,9 @@ from .bounds import (
     BOUND_NAMES,
     BoundReport,
     BoundValue,
-    bound_maxR,
-    bound_omega,
     bound_report,
-    bound_wang,
-    bound_zhao,
 )
-from .intervals import IntervalSet, quadratic_region
+from .intervals import IntervalSet
 from .localization import (
     SET_NAMES,
     ChainCheck,
@@ -22,10 +18,6 @@ from .localization import (
     build_sets,
     inclusion_chain_check,
     row_aggregates,
-    set_K,
-    set_L,
-    set_Omega,
-    set_Psi,
 )
 from .oracle import (
     OracleConfig,
@@ -73,11 +65,7 @@ __all__ = [
     "WeakSymmetryCheck",
     "ZEigenPair",
     "apply",
-    "bound_maxR",
-    "bound_omega",
     "bound_report",
-    "bound_wang",
-    "bound_zhao",
     "build_sets",
     "circle_solve",
     "gradient",
@@ -89,14 +77,9 @@ __all__ = [
     "nonzero_records",
     "parse_tensor",
     "polyval",
-    "quadratic_region",
     "residual",
     "row_aggregates",
     "serialize_tensor",
-    "set_K",
-    "set_L",
-    "set_Omega",
-    "set_Psi",
     "solve",
     "sshopm",
     "verify_inclusion",

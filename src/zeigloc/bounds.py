@@ -3,15 +3,24 @@ nonnegative tensors, from loosest to sharpest: the largest row sum, two
 quadratic-root bounds built from row sums, and the two-family bound derived
 from the Omega localization set.
 
+Every bound but the largest row sum is a max over rows i of the min over
+partners j of the upper ends ``hi`` of the pair intervals the sets are built
+from.  The L and Psi rows are always ``[0, r]``, so "wang" and "zhao" equal
+the L and Psi radii; "maxR" equals the K radius.  Omega's "tilde" bound takes
+``max_i min_j min(R_i, omega_bar_ij)``, omega_bar_ij being the upper root of
+the pair's tilde quadratic, and ignores whether row i's tilde intersection is
+empty, which the set does not: "omega_max" can exceed the Omega radius.
+
 Every formula is total in the row aggregates, so the functions evaluate for
 any real tensor; whether the result bounds the spectral radius is a semantic
 question carried by the applicability flags in ``BoundReport``.
 """
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .localization import RowAggregates, row_aggregates
+import numpy as np
+
+from .localization import RowAggregates, _pair_intervals, row_aggregates
 from .tensor import Tensor, WeakSymmetryCheck, is_nonnegative, weak_symmetry_check
 
 # serialization order, loosest bound last
@@ -46,89 +55,13 @@ class BoundReport:
         return self.nonnegative and self.weak_symmetry.ok
 
 
-def _max_min(n: int, term) -> BoundValue:
-    # max over i of min over j != i; strict comparisons keep the smallest index on ties
-    best = None
-    for i in range(n):
-        inner = None
-        for j in range(n):
-            if j == i:
-                continue
-            v = term(i, j)
-            if inner is None or v < inner[0]:
-                inner = (v, j)
-        if best is None or inner[0] > best[0]:
-            best = (inner[0], i, inner[1])
-    return BoundValue(value=best[0], i=best[1] + 1, j=best[2] + 1)
-
-
-def bound_maxR_value(agg: RowAggregates) -> BoundValue:
-    i = int(min(range(agg.dim), key=lambda k: (-agg.R[k], k)))
-    return BoundValue(value=float(agg.R[i]), i=i + 1)
-
-
-def bound_maxR(agg: RowAggregates) -> float:
-    """Largest absolute row sum."""
-    return bound_maxR_value(agg).value
-
-
-def bound_wang_value(A: Tensor, agg: RowAggregates) -> BoundValue:
-    R = agg.R
-    m = A.order
-
-    def term(i, j):
-        a_ij = abs(float(A.entries[(i,) + (j,) * (m - 1)]))
-        d = float(R[i]) - a_ij
-        c = a_ij * float(R[j])
-        return 0.5 * (d + math.sqrt(d * d + 4.0 * c))
-
-    return _max_min(agg.dim, term)
-
-
-def bound_wang(A: Tensor, agg: RowAggregates) -> float:
-    """max-min of the quadratic root pairing each row sum with the entry
-    a[i, j, ..., j]; the entry enters by absolute value."""
-    return bound_wang_value(A, agg).value
-
-
-def bound_zhao_value(agg: RowAggregates) -> BoundValue:
-    R, rb, rd = agg.R, agg.r_bar, agg.r_delta
-
-    def term(i, j):
-        b = float(rb[i, j])
-        c = float(rd[i, j]) * float(R[j])
-        return 0.5 * (b + math.sqrt(b * b + 4.0 * c))
-
-    return _max_min(agg.dim, term)
-
-
-def bound_zhao(agg: RowAggregates) -> float:
-    """max-min of the quadratic root built from the split row sums."""
-    return bound_zhao_value(agg).value
-
-
-def omega_bar(agg: RowAggregates, i: int, j: int) -> float:
-    """Upper root of the two-sided quadratic for the (0-based) pair (i, j)."""
-    a = float(agg.r_bar[i, j])
-    b = float(agg.r_delta[j, j])
-    c = float(agg.r_delta[i, j]) * float(agg.r_bar[j, j])
-    d = a - b
-    return 0.5 * (a + b + math.sqrt(d * d + 4.0 * c))
-
-
-def bound_omega_value(agg: RowAggregates) -> BoundValue:
-    rb, rd, R = agg.r_bar, agg.r_delta, agg.R
-    hat = _max_min(agg.dim, lambda i, j: min(float(rb[i, j]), float(rd[j, j])))
-    tilde = _max_min(agg.dim, lambda i, j: min(float(R[i]), omega_bar(agg, i, j)))
-    if hat.value >= tilde.value:
-        return BoundValue(value=hat.value, i=hat.i, j=hat.j, family="hat")
-    return BoundValue(value=tilde.value, i=tilde.i, j=tilde.j, family="tilde")
-
-
-def bound_omega(agg: RowAggregates) -> float:
-    """Two-family bound: max of the box family max-min and the quadratic-root
-    family max-min (each root capped by its row sum)."""
-    return bound_omega_value(agg).value
+def _max_row_min(hi: np.ndarray) -> BoundValue:
+    # max over rows i of min over partners j; argmin and argmax return the
+    # first index, so ties go to the smallest
+    j = hi.argmin(axis=1)
+    row_min = hi[np.arange(len(hi)), j]
+    i = int(row_min.argmax())
+    return BoundValue(value=float(row_min[i]), i=i + 1, j=int(j[i]) + 1)
 
 
 def bound_report(A: Tensor, agg: RowAggregates | None = None, seed: int = 42) -> BoundReport:
@@ -140,11 +73,18 @@ def bound_report(A: Tensor, agg: RowAggregates | None = None, seed: int = 42) ->
     """
     if agg is None:
         agg = row_aggregates(A)
+    hi = {name: pair[1] for name, pair in _pair_intervals(agg).items()}
+    hat, tilde = _max_row_min(hi["hat"]), _max_row_min(hi["tilde"])
+    if hat.value >= tilde.value:
+        omega_max = replace(hat, family="hat")
+    else:
+        omega_max = replace(tilde, family="tilde")
+    i = int(agg.R.argmax())
     report = BoundReport(
-        omega_max=bound_omega_value(agg),
-        zhao=bound_zhao_value(agg),
-        wang=bound_wang_value(A, agg),
-        maxR=bound_maxR_value(agg),
+        omega_max=omega_max,
+        zhao=_max_row_min(hi["Psi"]),
+        wang=_max_row_min(hi["L"]),
+        maxR=BoundValue(value=float(agg.R[i]), i=i + 1),
         nonnegative=is_nonnegative(A),
         weak_symmetry=weak_symmetry_check(A, seed=seed),
     )

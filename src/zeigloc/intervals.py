@@ -101,21 +101,3 @@ class IntervalSet:
         body = " u ".join(f"[{lo:g}, {hi:g}]" for lo, hi in self.intervals)
         return f"IntervalSet({body})"
 
-
-def quadratic_region(a: float, b: float, c: float) -> IntervalSet:
-    """Solution set {t >= 0 : (t - a)(t - b) <= c} for c >= 0.
-
-    The roots are ((a + b) +- sqrt((a - b)^2 + 4c)) / 2; with c >= 0 the
-    discriminant is never negative, so the region is a single closed interval
-    clipped to the nonnegative axis (possibly empty when both roots are
-    negative).
-    """
-    if c < 0:
-        raise ValueError(f"quadratic_region needs c >= 0, got {c}")
-    d = a - b
-    root = math.sqrt(d * d + 4.0 * c)
-    hi = ((a + b) + root) / 2.0
-    if hi < 0:
-        return IntervalSet.empty()
-    lo = max(0.0, ((a + b) - root) / 2.0)
-    return IntervalSet.closed(lo, hi)

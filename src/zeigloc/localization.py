@@ -4,13 +4,21 @@ All four sets constrain a Z-eigenvalue z only through t = |z|, so each is
 represented exactly by its cross-section on the nonnegative radius axis.
 The building blocks are the absolute row sums R_i and their split by whether
 a chosen index j occurs among the trailing index positions.
+
+Each pair (i, j), j != i, gives one closed interval per family, so row i's
+intersection over its partners is ``[max_j lo, min_j hi]`` over ``(n, n)``
+arrays, and ``bounds`` reads its max-min bounds off the same ``hi``.  The L
+and Psi quadratics have root product -c <= 0, so their lower roots clip to 0:
+K, L and Psi rows are always ``[0, r]`` and their radii equal the bounds.
+Omega's "tilde" rows can be empty: the set leaves such a row out, while the
+"tilde" bound ignores whether a row is empty and can exceed the radius.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .intervals import IntervalSet, quadratic_region
+from .intervals import IntervalSet
 from .tensor import Tensor
 
 SET_NAMES = ("K", "L", "Psi", "Omega")
@@ -27,11 +35,13 @@ class RowAggregates:
     keeps only tuples where j occurs among (i2, ..., im); ``r_bar[i, j]`` the
     rest, so ``r_delta + r_bar == R`` row by row.  The diagonal j == i is kept
     because the Omega set and its bound use the self-split ``r_delta[j, j]``.
+    ``diag[i, j]`` is |a[i, j, ..., j]|, the entry the L set pairs with R_j.
     """
 
     R: np.ndarray
     r_delta: np.ndarray
     r_bar: np.ndarray
+    diag: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -40,20 +50,23 @@ class RowAggregates:
 
 def row_aggregates(A: Tensor) -> RowAggregates:
     a = np.abs(A.entries)
-    tail = tuple(range(1, A.order))
-    R = a.sum(axis=tail)
     n = A.dim
-    r_bar = np.empty((n, n))
-    for j in range(n):
-        sub = a
-        for axis in tail:
-            sub = np.delete(sub, j, axis=axis)
-        r_bar[:, j] = sub.sum(axis=tuple(range(1, A.order)))
-    # the two sums use different summation orders, so the difference can dip
-    # a few ulps below zero; the exact value never does
-    r_delta = np.maximum(R[:, None] - r_bar, 0.0)
-    out = RowAggregates(R=R, r_delta=r_delta, r_bar=r_bar)
-    for arr in (out.R, out.r_delta, out.r_bar):
+    R = a.sum(axis=tuple(range(1, A.order)))
+    rows, cols = np.arange(n)[:, None], np.arange(n)[None, :]
+    diag = a[(rows,) + (cols,) * (A.order - 1)]
+    # F[i, i2, ..., ik, j] sums the tail tuples whose positions after ik all
+    # differ from j.  Each pass folds one more position into the sum and drops
+    # its j-diagonal until only (i, j) is left: O(n^m) time, and no copy of
+    # the entries beyond ``a``, which the first pass overwrites
+    F = np.subtract(a.sum(axis=-1)[..., None], a, out=a)
+    while F.ndim > 2:
+        F = F.sum(axis=-2) - np.diagonal(F, axis1=-2, axis2=-1)
+    # each pass subtracts one term of the nonnegative sum it just took, so F
+    # stays >= 0 after rounding; R sums in another order, so cap at R_i
+    r_bar = np.minimum(F, R[:, None])
+    r_delta = R[:, None] - r_bar
+    out = RowAggregates(R=R, r_delta=r_delta, r_bar=r_bar, diag=diag)
+    for arr in (out.R, out.r_delta, out.r_bar, out.diag):
         arr.setflags(write=False)
     return out
 
@@ -77,112 +90,73 @@ class SetReport:
         return self.set.sup()
 
 
-def _union(parts) -> IntervalSet:
-    out = IntervalSet.empty()
-    for p in parts:
-        out = out.union(p)
-    return out
+def _upper_root(a, c):
+    """Upper root of (t - a) t = c for c >= 0; the lower root is <= 0."""
+    return (a + np.sqrt(a * a + 4.0 * c)) / 2.0
 
 
-def _intersect_over_partners(regions) -> IntervalSet:
-    out = None
-    for r in regions:
-        out = r if out is None else out.intersect(r)
-    return IntervalSet.empty() if out is None else out
+def _pair_intervals(agg: RowAggregates) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """The closed interval of every pair (i, j) as ``(n, n)`` arrays (lo, hi),
+    for the families L, Psi and Omega's "hat" and "tilde".
 
+    L:     (|z| - (R_i - |a[i,j,...,j]|)) |z| <= |a[i,j,...,j]| R_j
+    Psi:   (|z| - r_bar[i,j]) |z| <= r_delta[i,j] R_j
+    hat:   |z| <= min(r_bar[i,j], r_delta[j,j]), the closure of the strict
+           region (a superset, so containment of the spectrum is preserved)
+    tilde: (|z| - r_bar[i,j]) (|z| - r_delta[j,j]) <= r_delta[i,j] r_bar[j,j],
+           within the row disk |z| <= R_i
 
-def set_K(agg: RowAggregates) -> SetReport:
-    """Union over rows of the disks |z| <= R_i, as radius intervals."""
-    per_index = tuple(IntervalSet.closed(0.0, float(R_i)) for R_i in agg.R)
-    return SetReport("K", _union(per_index), per_index)
-
-
-def set_L(A: Tensor, agg: RowAggregates) -> SetReport:
-    """Per pair (i, j): (|z| - (R_i - |a[i,j,...,j]|)) |z| <= |a[i,j,...,j]| R_j,
-    intersected over j != i, then united over i."""
-    n = agg.dim
-    per_index = []
-    for i in range(n):
-        regions = []
-        for j in range(n):
-            if j == i:
-                continue
-            a_ij = abs(float(A.entries[(i,) + (j,) * (A.order - 1)]))
-            regions.append(quadratic_region(float(agg.R[i]) - a_ij, 0.0, a_ij * float(agg.R[j])))
-        per_index.append(_intersect_over_partners(regions))
-    per_index = tuple(per_index)
-    return SetReport("L", _union(per_index), per_index)
-
-
-def set_Psi(agg: RowAggregates) -> SetReport:
-    """Per pair (i, j): (|z| - r_bar[i,j]) |z| <= r_delta[i,j] R_j."""
-    n = agg.dim
-    per_index = []
-    for i in range(n):
-        regions = []
-        for j in range(n):
-            if j == i:
-                continue
-            regions.append(
-                quadratic_region(
-                    float(agg.r_bar[i, j]), 0.0, float(agg.r_delta[i, j]) * float(agg.R[j])
-                )
-            )
-        per_index.append(_intersect_over_partners(regions))
-    per_index = tuple(per_index)
-    return SetReport("Psi", _union(per_index), per_index)
-
-
-def set_Omega(agg: RowAggregates) -> SetReport:
-    """Two-family set built from the split row sums.
-
-    First family per pair: the closed box |z| <= min(r_bar[i,j], r_delta[j,j])
-    (closure of the strict region; a superset, so containment of the spectrum
-    is preserved).  Second family per pair: the quadratic region
-    (|z| - r_bar[i,j]) (|z| - r_delta[j,j]) <= r_delta[i,j] r_bar[j,j]
-    intersected with the row disk |z| <= R_i.  Each family is intersected
-    over j != i and united over i; the set is the union of both families.
+    Every lo is >= 0, and only tilde's can be positive.  The diagonal j == i
+    is masked to [0, inf), so it never limits a row.
     """
-    n = agg.dim
-    hat_rows, tilde_rows, per_index = [], [], []
-    for i in range(n):
-        row_disk = IntervalSet.closed(0.0, float(agg.R[i]))
-        hats, tildes = [], []
-        for j in range(n):
-            if j == i:
-                continue
-            hats.append(
-                IntervalSet.closed(0.0, min(float(agg.r_bar[i, j]), float(agg.r_delta[j, j])))
-            )
-            tilde = quadratic_region(
-                float(agg.r_bar[i, j]),
-                float(agg.r_delta[j, j]),
-                float(agg.r_delta[i, j]) * float(agg.r_bar[j, j]),
-            )
-            tildes.append(tilde.intersect(row_disk))
-        hat_i = _intersect_over_partners(hats)
-        tilde_i = _intersect_over_partners(tildes)
-        hat_rows.append(hat_i)
-        tilde_rows.append(tilde_i)
-        per_index.append(hat_i.union(tilde_i))
-    total = _union(per_index)
-    return SetReport(
-        "Omega",
-        total,
-        tuple(per_index),
-        families={"hat": tuple(hat_rows), "tilde": tuple(tilde_rows)},
+    R, rb, rd, d = agg.R, agg.r_bar, agg.r_delta, agg.diag
+    self_delta, self_bar = np.diagonal(rd), np.diagonal(rb)
+    zero = np.zeros_like(rb)
+    # tilde roots ((a + b) +- sqrt((a - b)^2 + 4c)) / 2, clipped to [0, R_i]
+    total = rb + self_delta
+    root = np.sqrt((rb - self_delta) ** 2 + 4.0 * (rd * self_bar))
+    tilde_lo = np.maximum((total - root) / 2.0, 0.0)
+    np.fill_diagonal(tilde_lo, 0.0)
+    pairs = {
+        "L": (zero, _upper_root(R[:, None] - d, d * R)),
+        "Psi": (zero, _upper_root(rb, rd * R)),
+        "hat": (zero, np.minimum(rb, self_delta)),
+        "tilde": (tilde_lo, np.minimum((total + root) / 2.0, R[:, None])),
+    }
+    for _, hi in pairs.values():
+        np.fill_diagonal(hi, np.inf)
+    return pairs
+
+
+def _rows(lo: np.ndarray, hi: np.ndarray) -> tuple[IntervalSet, ...]:
+    """Each row intersected over its partners: [max_j lo, min_j hi], or empty."""
+    return tuple(
+        IntervalSet([(l, h)] if l <= h else [])
+        for l, h in zip(lo.max(axis=1).tolist(), hi.min(axis=1).tolist())
     )
 
 
+def _report(name: str, per_index: tuple[IntervalSet, ...], families=None) -> SetReport:
+    united = IntervalSet(iv for row in per_index for iv in row.intervals)
+    return SetReport(name, united, per_index, families)
+
+
 def build_sets(A: Tensor, agg: RowAggregates | None = None) -> dict[str, SetReport]:
-    """All four localization sets keyed by name, in chain order K, L, Psi, Omega."""
+    """All four localization sets keyed by name, in chain order K, L, Psi, Omega.
+
+    Each set is the union over rows i of the row's intersection over j != i.
+    K's row is the disk [0, R_i]; Omega's row is the union of its "hat" and
+    "tilde" rows, which ``families`` keeps.
+    """
     if agg is None:
         agg = row_aggregates(A)
+    rows = {name: _rows(lo, hi) for name, (lo, hi) in _pair_intervals(agg).items()}
+    omega = tuple(hat.union(tilde) for hat, tilde in zip(rows["hat"], rows["tilde"]))
     return {
-        "K": set_K(agg),
-        "L": set_L(A, agg),
-        "Psi": set_Psi(agg),
-        "Omega": set_Omega(agg),
+        "K": _report("K", tuple(IntervalSet.closed(0.0, r) for r in agg.R.tolist())),
+        "L": _report("L", rows["L"]),
+        "Psi": _report("Psi", rows["Psi"]),
+        "Omega": _report("Omega", omega, {"hat": rows["hat"], "tilde": rows["tilde"]}),
     }
 
 

@@ -1,13 +1,17 @@
 """Independent brute-force oracles and tensor generators for the tests.
 
 Nothing here calls the library's vectorized code paths: row sums come from a
-plain loop over all index tuples, gradients from central finite differences.
+plain loop over all index tuples, gradients from central finite differences,
+and the localization sets and bounds from per-pair loops over their scalar
+definitions.  Only ``IntervalSet`` and ``Tensor`` come from the library.
 """
 
 import itertools
+import math
 
 import numpy as np
 
+from zeigloc.intervals import IntervalSet
 from zeigloc.tensor import Tensor
 
 
@@ -28,6 +32,119 @@ def brute_row_aggregates(entries: np.ndarray):
             else:
                 r_bar[i, j] += v
     return R, r_delta, r_bar
+
+
+def quadratic_region(a: float, b: float, c: float) -> IntervalSet:
+    """Solution set {t >= 0 : (t - a)(t - b) <= c} for c >= 0.
+
+    The roots are ((a + b) +- sqrt((a - b)^2 + 4c)) / 2; with c >= 0 the
+    discriminant is never negative, so the region is a single closed interval
+    clipped to the nonnegative axis (possibly empty when both roots are
+    negative).
+    """
+    if c < 0:
+        raise ValueError(f"quadratic_region needs c >= 0, got {c}")
+    d = a - b
+    root = math.sqrt(d * d + 4.0 * c)
+    hi = ((a + b) + root) / 2.0
+    if hi < 0:
+        return IntervalSet.empty()
+    lo = max(0.0, ((a + b) - root) / 2.0)
+    return IntervalSet.closed(lo, hi)
+
+
+def _intersect_all(regions):
+    out = regions[0]
+    for r in regions[1:]:
+        out = out.intersect(r)
+    return out
+
+
+def _unite_all(rows):
+    out = IntervalSet.empty()
+    for r in rows:
+        out = out.union(r)
+    return out
+
+
+def brute_sets(entries: np.ndarray):
+    """{name: (set, per-row sets, families)} for K, L, Psi and Omega, one
+    pair region at a time: each row intersects its regions over j != i, the
+    set unites the rows.  ``families`` is None except for Omega, whose rows
+    unite a "hat" and a "tilde" family."""
+    m, n = entries.ndim, entries.shape[0]
+    R, r_delta, r_bar = brute_row_aggregates(entries)
+    rows = {name: [] for name in ("K", "L", "Psi", "hat", "tilde")}
+    for i in range(n):
+        disk = IntervalSet.closed(0.0, R[i])
+        regions = {name: [] for name in ("L", "Psi", "hat", "tilde")}
+        for j in range(n):
+            if j == i:
+                continue
+            a_ij = abs(float(entries[(i,) + (j,) * (m - 1)]))
+            regions["L"].append(quadratic_region(R[i] - a_ij, 0.0, a_ij * R[j]))
+            regions["Psi"].append(quadratic_region(r_bar[i, j], 0.0, r_delta[i, j] * R[j]))
+            regions["hat"].append(IntervalSet.closed(0.0, min(r_bar[i, j], r_delta[j, j])))
+            tilde = quadratic_region(r_bar[i, j], r_delta[j, j], r_delta[i, j] * r_bar[j, j])
+            regions["tilde"].append(tilde.intersect(disk))
+        rows["K"].append(disk)
+        for name, regs in regions.items():
+            rows[name].append(_intersect_all(regs))
+    omega = [h.union(t) for h, t in zip(rows["hat"], rows["tilde"])]
+    out = {name: (_unite_all(rows[name]), tuple(rows[name]), None) for name in ("K", "L", "Psi")}
+    families = {"hat": tuple(rows["hat"]), "tilde": tuple(rows["tilde"])}
+    out["Omega"] = (_unite_all(omega), tuple(omega), families)
+    return out
+
+
+def brute_bound_terms(entries: np.ndarray) -> dict:
+    """Per-pair terms of each max-min bound, ``terms[name][i][j]`` for j != i
+    (None on the diagonal): "wang", "zhao", and Omega's "hat" and "tilde"."""
+    m, n = entries.ndim, entries.shape[0]
+    R, r_delta, r_bar = brute_row_aggregates(entries)
+    terms = {name: [[None] * n for _ in range(n)] for name in ("wang", "zhao", "hat", "tilde")}
+    for i in range(n):
+        for j in range(n):
+            if j == i:
+                continue
+            a_ij = abs(float(entries[(i,) + (j,) * (m - 1)]))
+            d, c = R[i] - a_ij, a_ij * R[j]
+            terms["wang"][i][j] = 0.5 * (d + math.sqrt(d * d + 4.0 * c))
+            b, c = r_bar[i, j], r_delta[i, j] * R[j]
+            terms["zhao"][i][j] = 0.5 * (b + math.sqrt(b * b + 4.0 * c))
+            terms["hat"][i][j] = min(r_bar[i, j], r_delta[j, j])
+            a, b, c = r_bar[i, j], r_delta[j, j], r_delta[i, j] * r_bar[j, j]
+            omega_bar = 0.5 * (a + b + math.sqrt((a - b) ** 2 + 4.0 * c))
+            terms["tilde"][i][j] = min(R[i], omega_bar)
+    return terms
+
+
+def _brute_max_min(term) -> tuple:
+    # (value, i, j), 1-based; strict comparisons keep the smallest index on ties
+    best = None
+    for i, row in enumerate(term):
+        inner = None
+        for j, v in enumerate(row):
+            if v is not None and (inner is None or v < inner[0]):
+                inner = (v, j)
+        if best is None or inner[0] > best[0]:
+            best = (inner[0], i + 1, inner[1] + 1)
+    return best
+
+
+def brute_bounds(entries: np.ndarray) -> dict:
+    """{name: (value, i, j, family)} for the four bounds, 1-based witnesses."""
+    R = brute_row_aggregates(entries)[0]
+    terms = brute_bound_terms(entries)
+    hat, tilde = _brute_max_min(terms["hat"]), _brute_max_min(terms["tilde"])
+    omega = hat + ("hat",) if hat[0] >= tilde[0] else tilde + ("tilde",)
+    i = max(range(len(R)), key=lambda k: (R[k], -k))
+    return {
+        "omega_max": omega,
+        "zhao": _brute_max_min(terms["zhao"]) + (None,),
+        "wang": _brute_max_min(terms["wang"]) + (None,),
+        "maxR": (float(R[i]), i + 1, None, None),
+    }
 
 
 def brute_apply(entries: np.ndarray, x):

@@ -9,9 +9,9 @@ import time
 import numpy as np
 
 from oracles import fd_gradient, random_symmetric_tensor, random_tensor
-from zeigloc.bounds import bound_omega, bound_report, row_aggregates
+from zeigloc.bounds import bound_report, row_aggregates
 from zeigloc.cli import main
-from zeigloc.localization import build_sets, inclusion_chain_check, set_Omega
+from zeigloc.localization import build_sets, inclusion_chain_check
 from zeigloc.oracle import OracleConfig, circle_solve, sshopm
 from zeigloc.tensor import apply, gradient, parse_tensor, polyval
 
@@ -112,8 +112,8 @@ def test_criterion_6_oracle_containment_100_symmetric():
     for _ in range(100):
         A = random_symmetric_tensor(rng, 3, 3)
         agg = row_aggregates(A)
-        omega = set_Omega(agg)
-        ub = bound_omega(agg)
+        omega = build_sets(A, agg)["Omega"]
+        ub = bound_report(A, agg).omega_max.value
         for p in sshopm(A, cfg):
             pairs_seen += 1
             if not omega.set.contains(abs(p.value), slack=1e-6):

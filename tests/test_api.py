@@ -1,0 +1,34 @@
+import importlib
+
+import zeigloc
+
+# names the sets and bounds no longer export; build_sets and bound_report
+# carry the same values
+REMOVED = {
+    "zeigloc": (
+        "set_K", "set_L", "set_Psi", "set_Omega", "bound_maxR", "bound_wang",
+        "bound_zhao", "bound_omega", "quadratic_region",
+    ),
+    "zeigloc.localization": (
+        "set_K", "set_L", "set_Psi", "set_Omega", "_union", "_intersect_over_partners",
+    ),
+    "zeigloc.bounds": (
+        "_max_min", "bound_maxR", "bound_maxR_value", "bound_wang", "bound_wang_value",
+        "bound_zhao", "bound_zhao_value", "bound_omega", "bound_omega_value", "omega_bar",
+    ),
+    "zeigloc.intervals": ("quadratic_region",),
+}
+
+
+def test_every_exported_name_resolves():
+    assert len(zeigloc.__all__) == len(set(zeigloc.__all__))
+    for name in zeigloc.__all__:
+        assert getattr(zeigloc, name) is not None, name
+
+
+def test_removed_names_are_gone():
+    for module, names in REMOVED.items():
+        mod = importlib.import_module(module)
+        for name in names:
+            assert not hasattr(mod, name), f"{module}.{name}"
+            assert name not in getattr(mod, "__all__", ())

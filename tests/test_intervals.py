@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from zeigloc.intervals import IntervalSet, quadratic_region
+from oracles import quadratic_region
+from zeigloc.intervals import IntervalSet
 
 
 def test_canonical_form_merges_overlap_and_touch():
@@ -69,6 +70,9 @@ def test_degenerate_point_interval():
     s = IntervalSet.closed(0.0, 0.0)
     assert not s.is_empty
     assert s.sup() == 0.0
+
+
+# quadratic_region is the scalar reference the set tests compare against
 
 
 def test_quadratic_region_worked_examples():

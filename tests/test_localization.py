@@ -5,16 +5,7 @@ import pytest
 
 from oracles import brute_row_aggregates, random_tensor
 from zeigloc.intervals import IntervalSet
-from zeigloc.localization import (
-    SET_NAMES,
-    build_sets,
-    inclusion_chain_check,
-    row_aggregates,
-    set_K,
-    set_L,
-    set_Omega,
-    set_Psi,
-)
+from zeigloc.localization import SET_NAMES, build_sets, inclusion_chain_check, row_aggregates
 from zeigloc.tensor import Tensor
 
 # upper endpoints derived by solving the defining quadratics directly
@@ -47,8 +38,8 @@ def test_row_aggregates_example2(example2):
 
 def test_row_aggregates_match_brute_force_random():
     rng = np.random.default_rng(37)
-    for _ in range(25):
-        m = int(rng.integers(2, 5))
+    for k in range(30):
+        m = 2 + k % 5  # orders 2-6; order 2 needs no fold over tail positions
         n = int(rng.integers(2, 5))
         A = random_tensor(rng, m, n)
         agg = row_aggregates(A)
@@ -57,6 +48,49 @@ def test_row_aggregates_match_brute_force_random():
         assert np.max(np.abs(agg.R - R)) <= 1e-12 * scale
         assert np.max(np.abs(agg.r_delta - rd)) <= 1e-12 * scale
         assert np.max(np.abs(agg.r_bar - rb)) <= 1e-12 * scale
+        for i in range(n):
+            for j in range(n):
+                assert agg.diag[i, j] == abs(A.entries[(i,) + (j,) * (m - 1)])
+
+
+def test_row_aggregates_rows_living_on_one_index():
+    # 0/1 tensors whose row i has nonzero entries only on tail tuples that
+    # contain j: r_bar[i, j] is exactly 0 and r_delta[i, j] is the whole row
+    rng = np.random.default_rng(83)
+    for k in range(30):
+        m, n = 2 + k % 5, int(rng.integers(2, 5))
+        arr = (rng.uniform(size=(n,) * m) < 0.4).astype(float)
+        i, j = (int(v) for v in rng.integers(0, n, 2))
+        for tail in np.ndindex(*(n,) * (m - 1)):
+            if j not in tail:
+                arr[(i,) + tail] = 0.0
+        arr[(i,) + (j,) * (m - 1)] = 1.0
+        A = Tensor(m, n, arr)
+        agg = row_aggregates(A)
+        R, rd, rb = brute_row_aggregates(arr)
+        assert agg.r_bar[i, j] == 0.0 and agg.r_delta[i, j] == agg.R[i]
+        assert np.array_equal(agg.R, R)
+        assert np.array_equal(agg.r_bar, rb) and np.array_equal(agg.r_delta, rd)
+        assert np.all(agg.r_bar >= 0) and np.all(agg.r_delta >= 0)
+        assert np.all(np.abs(agg.r_delta + agg.r_bar - R[:, None]) <= 1e-12 * (1.0 + R[:, None]))
+        assert np.array_equal(agg.diag, np.abs(arr[(np.arange(n)[:, None],) + (np.arange(n),) * (m - 1)]))
+
+
+def test_row_aggregates_rows_nearly_avoiding_one_index():
+    # rows whose mass on tail tuples containing j is below an ulp of R_i:
+    # r_bar[i, j] sums in another order than R_i and must still not pass it
+    rng = np.random.default_rng(89)
+    for k in range(30):
+        m, n = 3 + k % 3, int(rng.integers(2, 5))
+        arr = rng.uniform(0.0, 1.0, (n,) * m)
+        for tail in np.ndindex(*(n,) * (m - 1)):
+            if 0 in tail:
+                arr[(slice(None),) + tail] *= 1e-17
+        agg = row_aggregates(Tensor(m, n, arr))
+        R, rd, rb = brute_row_aggregates(arr)
+        assert np.all(agg.r_bar <= agg.R[:, None]) and np.all(agg.r_delta >= 0)
+        assert np.max(np.abs(agg.r_bar - rb)) <= 1e-12 * (1.0 + np.max(R))
+        assert np.max(np.abs(agg.r_delta - rd)) <= 1e-12 * (1.0 + np.max(R))
 
 
 def test_aggregate_partition_identity():
@@ -76,17 +110,16 @@ def test_aggregate_partition_identity():
 
 
 def test_set_K(example1, example2):
-    agg = row_aggregates(example1)
-    rep = set_K(agg)
+    rep = build_sets(example1)["K"]
     assert rep.radius == 6.75  # equals max row sum exactly
     assert rep.radius == pytest.approx(6.7500, abs=5e-5)
     assert rep.per_index[0] == IntervalSet.closed(0.0, 4.75)
-    assert set_K(row_aggregates(example2)).radius == 19.0
-    assert set_K(row_aggregates(Tensor.zeros(3, 3))).set == IntervalSet.closed(0.0, 0.0)
+    assert build_sets(example2)["K"].radius == 19.0
+    assert build_sets(Tensor.zeros(3, 3))["K"].set == IntervalSet.closed(0.0, 0.0)
 
 
 def test_set_L_example1(example1):
-    rep = set_L(example1, row_aggregates(example1))
+    rep = build_sets(example1)["L"]
     assert rep.radius == pytest.approx(EX1_L_RADIUS, abs=1e-12)
     assert rep.radius == pytest.approx(6.4827, abs=5e-5)
     # row 1 region: entry a_1222 is zero, so the region is the plain row disk
@@ -94,19 +127,17 @@ def test_set_L_example1(example1):
 
 
 def test_set_L_zero_and_diagonal():
-    zero = Tensor.zeros(3, 2)
-    assert set_L(zero, row_aggregates(zero)).set == IntervalSet.closed(0.0, 0.0)
+    assert build_sets(Tensor.zeros(3, 2))["L"].set == IntervalSet.closed(0.0, 0.0)
     arr = np.zeros((3, 3, 3))
     d = [2.0, 0.5, 1.0]
     for i in range(3):
         arr[i, i, i] = d[i]
     A = Tensor(3, 3, arr)
-    assert set_L(A, row_aggregates(A)).radius == max(d)
+    assert build_sets(A)["L"].radius == max(d)
 
 
 def test_set_Psi_example1(example1):
-    agg = row_aggregates(example1)
-    rep = set_Psi(agg)
+    rep = build_sets(example1)["Psi"]
     assert rep.radius == pytest.approx(EX1_PSI_RADIUS, abs=1e-12)
     assert rep.radius == pytest.approx(6.3161, abs=5e-5)
     # the pair (i=2, j=1) alone gives the radius
@@ -114,13 +145,11 @@ def test_set_Psi_example1(example1):
 
 
 def test_set_Psi_zero():
-    agg = row_aggregates(Tensor.zeros(4, 2))
-    assert set_Psi(agg).set == IntervalSet.closed(0.0, 0.0)
+    assert build_sets(Tensor.zeros(4, 2))["Psi"].set == IntervalSet.closed(0.0, 0.0)
 
 
 def test_set_Omega_example1(example1):
-    agg = row_aggregates(example1)
-    rep = set_Omega(agg)
+    rep = build_sets(example1)["Omega"]
     assert rep.set == IntervalSet.closed(0.0, 5.0)
     assert rep.radius == pytest.approx(5.0000, abs=5e-5)
     hat = rep.families["hat"]
@@ -133,8 +162,16 @@ def test_set_Omega_example1(example1):
 
 
 def test_set_Omega_zero():
-    rep = set_Omega(row_aggregates(Tensor.zeros(3, 3)))
+    rep = build_sets(Tensor.zeros(3, 3))["Omega"]
     assert rep.set == IntervalSet.closed(0.0, 0.0)
+
+
+def test_diagonal_pair_never_limits_a_row():
+    # the self pair (3, 3) has tilde roots 0 and r_bar + r_delta, but rounds
+    # its lower root to 4.4e-16; row 3's partners all reach down to 0
+    A = random_tensor(np.random.default_rng(133), 3, 3, low=0.0)
+    tilde = build_sets(A)["Omega"].families["tilde"]
+    assert tilde[2].intervals[0][0] == 0.0
 
 
 def test_build_sets_order(example1):
