@@ -138,6 +138,27 @@ def test_bounds_equal_set_radii():
             assert omega.value == radius
 
 
+def test_bound_omega_dominates_set_omega_radius():
+    rng = np.random.default_rng(67)
+    for _ in range(100):
+        A = random_tensor(rng, int(rng.integers(3, 5)), int(rng.integers(2, 5)), low=0.0)
+        agg = row_aggregates(A)
+        radius = build_sets(A, agg)["Omega"].radius
+        assert radius is not None
+        assert bound_report(A, agg).omega_max.value >= radius - 1e-12 * (1.0 + radius)
+
+
+def test_n2_bounds_equal_set_radii_exactly():
+    rng = np.random.default_rng(71)
+    for m in (3, 4):
+        for _ in range(25):
+            A = random_tensor(rng, m, 2)
+            agg = row_aggregates(A)
+            sets, rep = build_sets(A, agg), bound_report(A, agg)
+            assert rep.zhao.value == sets["Psi"].radius
+            assert rep.wang.value == sets["L"].radius
+
+
 def test_omega_bound_ignores_empty_tilde_rows():
     # a[2,1,2] = a[2,2,1] = a[3,1,1] = a[3,3,3] = 1: every hat row is [0, 0]
     # and row 3's tilde pairs give [0, 1] (j = 1) and [2, 2] (j = 2), whose
