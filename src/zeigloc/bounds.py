@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .localization import RowAggregates, _pair_intervals, row_aggregates
+from .localization import RowAggregates, row_aggregates
 from .tensor import Tensor, WeakSymmetryCheck, is_nonnegative, weak_symmetry_check
 
 # serialization order, loosest bound last
@@ -73,7 +73,7 @@ def bound_report(A: Tensor, agg: RowAggregates | None = None, seed: int = 42) ->
     """
     if agg is None:
         agg = row_aggregates(A)
-    hi = {name: pair[1] for name, pair in _pair_intervals(agg).items()}
+    hi = {name: pair[1] for name, pair in agg.pair_intervals.items()}
     hat, tilde = _max_row_min(hi["hat"]), _max_row_min(hi["tilde"])
     if hat.value >= tilde.value:
         omega_max = replace(hat, family="hat")

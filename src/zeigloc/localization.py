@@ -15,6 +15,7 @@ Omega's "tilde" rows can be empty: the set leaves such a row out, while the
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +37,8 @@ class RowAggregates:
     rest, so ``r_delta + r_bar == R`` row by row.  The diagonal j == i is kept
     because the Omega set and its bound use the self-split ``r_delta[j, j]``.
     ``diag[i, j]`` is |a[i, j, ..., j]|, the entry the L set pairs with R_j.
+    ``pair_intervals`` is built on first use and shared by ``build_sets`` and
+    ``bounds.bound_report``.
     """
 
     R: np.ndarray
@@ -46,6 +49,12 @@ class RowAggregates:
     @property
     def dim(self) -> int:
         return len(self.R)
+
+    @cached_property
+    def pair_intervals(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Read-only ``(lo, hi)`` arrays of every pair's interval, by family
+        (see ``_pair_intervals``)."""
+        return _pair_intervals(self)
 
 
 def row_aggregates(A: Tensor) -> RowAggregates:
@@ -123,8 +132,10 @@ def _pair_intervals(agg: RowAggregates) -> dict[str, tuple[np.ndarray, np.ndarra
         "hat": (zero, np.minimum(rb, self_delta)),
         "tilde": (tilde_lo, np.minimum((total + root) / 2.0, R[:, None])),
     }
-    for _, hi in pairs.values():
+    for lo, hi in pairs.values():
         np.fill_diagonal(hi, np.inf)
+        lo.setflags(write=False)
+        hi.setflags(write=False)
     return pairs
 
 
@@ -150,7 +161,7 @@ def build_sets(A: Tensor, agg: RowAggregates | None = None) -> dict[str, SetRepo
     """
     if agg is None:
         agg = row_aggregates(A)
-    rows = {name: _rows(lo, hi) for name, (lo, hi) in _pair_intervals(agg).items()}
+    rows = {name: _rows(lo, hi) for name, (lo, hi) in agg.pair_intervals.items()}
     omega = tuple(hat.union(tilde) for hat, tilde in zip(rows["hat"], rows["tilde"]))
     return {
         "K": _report("K", tuple(IntervalSet.closed(0.0, r) for r in agg.R.tolist())),

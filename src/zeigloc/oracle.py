@@ -8,6 +8,7 @@ every accepted pair is a genuine eigenpair up to the residual gate, which is
 all the inclusion checks need.
 """
 
+import logging
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -20,6 +21,16 @@ from .tensor import Tensor, apply, polyval
 
 # a candidate must satisfy the eigen equation to this residual to be returned
 RESIDUAL_ACCEPT = 1e-8
+
+# doubles the power iteration's contraction intermediates may hold (8 MiB);
+# a call with more runs than fit iterates them in chunks
+_BLOCK_DOUBLES = 1 << 20
+
+# how a power-iteration run stopped, in the order of the diagnostic counts
+_OUTCOMES = ("converged", "max_iter", "zero_image")
+_CONVERGED, _MAX_ITER, _ZERO_IMAGE = range(len(_OUTCOMES))
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -152,6 +163,62 @@ def circle_solve(A: Tensor, dedupe_tol: float = 1e-6) -> list[ZEigenPair]:
     return _sorted_pairs(_dedupe(_circle_pairs(A, lines), dedupe_tol, 1e-5))
 
 
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    # one batched dot per row, as a column: the rounding of np.linalg.norm
+    return np.sqrt(np.matmul(X[:, None, :], X[:, :, None])).reshape(-1, 1)
+
+
+def _power_block(E2T, order, X, sign, alpha, tol, max_iter):
+    """Iterate every row of the unit block X at once; return the last
+    iterates and how each run stopped (an index into ``_OUTCOMES``).
+
+    A step contracts the whole block, ``X @ E2T`` and then ``order - 2``
+    batched reductions, and maps row x to normalize(sign A x^(m-1) + alpha x).
+    A run leaves the block on a step <= tol, or on an image of norm < 1e-300,
+    where it keeps its current iterate.  At these sizes a step costs mostly
+    numpy call overhead, so the stop tests read one minimum per step, and
+    the block is only shrunk on a step where some run stopped.
+    """
+    S, n = X.shape
+    out = np.empty_like(X)
+    how = np.full(S, _MAX_ITER)
+    run = np.arange(S)  # block row -> run
+    for _ in range(max_iter):
+        Y = X @ E2T
+        col = X[:, :, None]
+        for _ in range(order - 2):
+            Y = np.matmul(Y.reshape(S, -1, n), col)
+        Y = Y.reshape(S, n)
+        Y *= sign
+        Y += alpha * X
+        nrm = _row_norms(Y)
+        # item(argmin()) is the minimum (NaN first) at a quarter of min()'s
+        # cost; "not >=" lets a NaN through to the exact mask
+        if not nrm.item(nrm.argmin()) >= 1e-300:
+            keep = _retire(out, how, run, nrm.ravel() < 1e-300, X, _ZERO_IMAGE)
+            X, Y, nrm, sign, run = X[keep], Y[keep], nrm[keep], sign[keep], run[keep]
+            if not run.size:
+                break
+        Y /= nrm
+        step = _row_norms(Y - X)
+        X = Y
+        if not step.item(step.argmin()) > tol:
+            keep = _retire(out, how, run, step.ravel() <= tol, X, _CONVERGED)
+            X, sign, run = X[keep], sign[keep], run[keep]
+        S = len(run)
+        if not S:
+            break
+    out[run] = X
+    return out, how
+
+
+def _retire(out, how, run, stop, X, outcome):
+    """Store the stopped rows' iterates and outcome; return the rows kept."""
+    out[run[stop]] = X[stop]
+    how[run[stop]] = outcome
+    return ~stop
+
+
 def sshopm(A: Tensor, cfg: OracleConfig | None = None) -> list[ZEigenPair]:
     """Shifted power iteration with random restarts.
 
@@ -159,46 +226,53 @@ def sshopm(A: Tensor, cfg: OracleConfig | None = None) -> list[ZEigenPair]:
     with the sign matching the shift, magnitude ``order * max|entry| + 1``
     unless overridden.  The positive shift walks toward large eigenvalues of
     the restricted polynomial, the negative one toward small ones.  Iterates
-    stop on ||x_k+1 - x_k|| <= tol or max_iter; only candidates passing the
-    residual gate are returned, deduplicated up to eigenvector sign.
+    stop on ||x_k+1 - x_k|| <= tol, on an image of norm < 1e-300 (keeping the
+    current iterate) or at max_iter; only candidates passing the residual
+    gate are returned, deduplicated up to eigenvector sign.
+
+    All ``2 * starts`` runs (start r // 2, shift sign + for even r) iterate
+    as one block, in chunks that keep the contraction intermediates within
+    ``_BLOCK_DOUBLES`` doubles.  Each call logs, at debug level on the
+    ``zeigloc.oracle`` logger, how many runs converged, hit max_iter, stopped
+    on a zero image and failed the residual gate, and the shift.
     """
     cfg = cfg or OracleConfig()
     alpha = cfg.shift if cfg.shift is not None else A.order * A.max_abs_entry() + 1.0
     alpha = abs(float(alpha))
     rng = np.random.default_rng(cfg.seed)
     starts = rng.standard_normal((cfg.starts, A.dim))
+    nrm = _row_norms(starts)
+    starts = np.where(nrm < 1e-12, np.eye(1, A.dim), starts / np.maximum(nrm, 1e-12))
+
+    X = np.repeat(starts, 2, axis=0)
+    sign = np.tile([[1.0], [-1.0]], (cfg.starts, 1))
+    E2T = A.entries.reshape(-1, A.dim).T
+    # doubles of one run's intermediates: A x^(m-1) on the way down to length n
+    chunk = max(1, _BLOCK_DOUBLES // sum(A.dim**k for k in range(1, A.order)))
+    blocks = [
+        _power_block(E2T, A.order, X[lo : lo + chunk], sign[lo : lo + chunk],
+                     alpha, cfg.tol, cfg.max_iter)
+        for lo in range(0, len(X), chunk)
+    ]
+    X = np.concatenate([x for x, _ in blocks])
+    how = np.concatenate([h for _, h in blocks])
 
     candidates = []
-    for x0 in starts:
-        nrm = np.linalg.norm(x0)
-        if nrm < 1e-12:
-            x0 = np.zeros(A.dim)
-            x0[0] = 1.0
-        else:
-            x0 = x0 / nrm
-        for sign in (1.0, -1.0):
-            shift = sign * alpha
-            x = x0
-            for _ in range(cfg.max_iter):
-                y = apply(A, x) + shift * x
-                nrm = np.linalg.norm(y)
-                if nrm < 1e-300:
-                    break
-                x_next = y / nrm if sign > 0 else -y / nrm
-                step = np.linalg.norm(x_next - x)
-                x = x_next
-                if step <= cfg.tol:
-                    break
-            p = _make_pair(A, _canonical_sign(A, x), "sshopm")
-            if p.residual <= RESIDUAL_ACCEPT:
-                candidates.append(p)
+    for x in X:
+        p = _make_pair(A, _canonical_sign(A, x), "sshopm")
+        if p.residual <= RESIDUAL_ACCEPT:
+            candidates.append(p)
+    counts = dict(zip(_OUTCOMES, np.bincount(how, minlength=len(_OUTCOMES)).tolist()))
+    counts["rejected"] = len(X) - len(candidates)
+    summary = ", ".join(f"{k} {v}" for k, v in counts.items())
+    logger.debug("sshopm: %d runs, shift %g: %s", len(X), alpha, summary)
 
     kept = _dedupe(candidates, cfg.dedupe_tol, cfg.angle_tol)
     kept = [replace(p, multiplicity=1) for p in kept]
     if not kept:
         warnings.warn(
             f"sshopm: no candidate reached residual {RESIDUAL_ACCEPT:g} "
-            f"({cfg.starts} starts, shift {alpha:g}, seed {cfg.seed})",
+            f"({cfg.starts} starts, shift {alpha:g}, seed {cfg.seed}; {summary})",
             RuntimeWarning,
             stacklevel=2,
         )

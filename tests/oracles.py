@@ -2,8 +2,9 @@
 
 Nothing here calls the library's vectorized code paths: row sums come from a
 plain loop over all index tuples, gradients from central finite differences,
-and the localization sets and bounds from per-pair loops over their scalar
-definitions.  Only ``IntervalSet`` and ``Tensor`` come from the library.
+the localization sets and bounds from per-pair loops over their scalar
+definitions, and power-method eigenpairs from one run at a time over
+``brute_apply``.  Only ``IntervalSet`` and ``Tensor`` come from the library.
 """
 
 import itertools
@@ -167,6 +168,45 @@ def brute_polyval(entries: np.ndarray, x) -> float:
             prod *= x[k]
         total += prod
     return total
+
+
+def scalar_sshopm(A: Tensor, starts=50, max_iter=1000, tol=1e-10, shift=None, seed=42):
+    """Reference shifted power method: one run per start and shift sign, one
+    ``brute_apply`` per step, then the residual gate (1e-8) and clustering
+    by value (1e-6) and eigenvector up to sign (1e-5).  Returns the kept
+    pairs as sorted (value, unit vector) tuples."""
+    entries, m, n = A.entries, A.order, A.dim
+    alpha = abs(float(shift if shift is not None else m * np.max(np.abs(entries)) + 1.0))
+    found = []
+    for x0 in np.random.default_rng(seed).standard_normal((starts, n)):
+        nrm = math.sqrt(sum(v * v for v in x0))
+        x0 = np.eye(n)[0] if nrm < 1e-12 else x0 / nrm
+        for sign in (1.0, -1.0):
+            x = x0
+            for _ in range(max_iter):
+                y = brute_apply(entries, x) + sign * alpha * x
+                nrm = math.sqrt(sum(v * v for v in y))
+                if nrm < 1e-300:
+                    break
+                x_next = sign * y / nrm
+                step = math.sqrt(sum(v * v for v in x_next - x))
+                x = x_next
+                if step <= tol:
+                    break
+            if m % 2 == 0 and x[np.argmax(np.abs(x))] < 0:
+                x = -x
+            value = brute_polyval(entries, x)
+            res = math.sqrt(sum(v * v for v in brute_apply(entries, x) - value * x))
+            if res <= 1e-8:
+                found.append((res, value, x))
+    kept = []
+    for _, value, x in sorted(found, key=lambda f: f[0]):
+        if not any(
+            abs(value - v) <= 1e-6 and math.acos(min(1.0, abs(float(x @ y)))) <= 1e-5
+            for v, y in kept
+        ):
+            kept.append((value, x))
+    return sorted(kept, key=lambda p: (p[0], tuple(p[1])))
 
 
 def fd_gradient(func, x, step: float = 1e-5):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-import zeigloc.bounds as bounds_mod
+import zeigloc.localization as localization_mod
 from oracles import random_symmetric_tensor, random_tensor
 from zeigloc.bounds import BOUND_NAMES, bound_report
 from zeigloc.intervals import IntervalSet
@@ -191,7 +191,7 @@ def test_bound_report_applicability_needs_weak_symmetry():
 
 
 def test_ordering_violation_raises_internal_error(example2, monkeypatch):
-    kernel = bounds_mod._pair_intervals
+    kernel = localization_mod._pair_intervals
 
     def inflated(agg):
         pairs = kernel(agg)
@@ -199,7 +199,7 @@ def test_ordering_violation_raises_internal_error(example2, monkeypatch):
         pairs["hat"] = (lo, hi + 1e9)
         return pairs
 
-    monkeypatch.setattr(bounds_mod, "_pair_intervals", inflated)
+    monkeypatch.setattr(localization_mod, "_pair_intervals", inflated)
     with pytest.raises(RuntimeError, match="internal inconsistency"):
         bound_report(example2)
 

@@ -2,9 +2,10 @@ import json
 
 import numpy as np
 
+import zeigloc.localization as localization_mod
 from zeigloc.bounds import bound_report
 from zeigloc.cli import main, render_json
-from zeigloc.localization import build_sets
+from zeigloc.localization import RowAggregates, build_sets
 
 
 def run(capsys, *argv):
@@ -192,6 +193,27 @@ def test_zero_tensor_end_to_end(tmp_path, capsys):
     assert "0.0000" in out
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 0
+
+
+def test_outputs_unchanged_when_pair_intervals_are_rebuilt(
+    capsys, monkeypatch, example1_path, example2_path
+):
+    # the cached kernel against one rebuilt on every read
+    formats = {"info": ("text", "structured"), "sets": ("text", "structured", "plot-data", "svg"),
+               "bounds": ("text", "structured"), "zeig": ("text", "structured"),
+               "verify": ("text", "structured")}
+
+    def outputs():
+        return [
+            run(capsys, cmd, path, "--format", fmt)
+            for path in (example1_path, example2_path)
+            for cmd, fmts in formats.items()
+            for fmt in fmts
+        ]
+
+    cached = outputs()
+    monkeypatch.setattr(RowAggregates, "pair_intervals", property(localization_mod._pair_intervals))
+    assert outputs() == cached
 
 
 def test_render_json_round_trips_17_digits():

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import zeigloc.localization as localization_mod
 from oracles import brute_row_aggregates, random_tensor
+from zeigloc.bounds import bound_report
+from zeigloc.cli import main
 from zeigloc.intervals import IntervalSet
 from zeigloc.localization import SET_NAMES, build_sets, inclusion_chain_check, row_aggregates
 from zeigloc.tensor import Tensor
@@ -104,6 +107,30 @@ def test_aggregate_partition_identity():
                 assert abs(lhs - agg.R[i]) <= 1e-12 * (1.0 + agg.R[i])
         assert np.all(agg.r_delta >= 0) and np.all(agg.r_bar >= 0)
         assert np.all(agg.r_delta <= agg.R[:, None] + 1e-12)
+
+
+def test_pair_intervals_built_once_per_aggregates(example2, example2_path, monkeypatch, capsys):
+    built = []
+    kernel = localization_mod._pair_intervals
+
+    def counted(agg):
+        built.append(agg)
+        return kernel(agg)
+
+    monkeypatch.setattr(localization_mod, "_pair_intervals", counted)
+    agg = row_aggregates(example2)
+    build_sets(example2, agg)
+    bound_report(example2, agg)
+    build_sets(example2, agg)
+    assert built == [agg]
+    for lo, hi in agg.pair_intervals.values():
+        assert not lo.flags.writeable and not hi.flags.writeable
+    build_sets(example2)  # fresh aggregates, fresh kernel
+    assert len(built) == 2
+    built.clear()
+    assert main(["verify", example2_path, "--format", "structured"]) == 0
+    capsys.readouterr()
+    assert len(built) == 1
 
 
 # --------------------------------------------------------------- the sets

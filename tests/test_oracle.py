@@ -1,10 +1,14 @@
 import itertools
+import logging
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
-from oracles import n2_eigenvalues, random_symmetric_tensor, random_tensor
+import zeigloc.oracle as oracle_mod
+from oracles import n2_eigenvalues, random_symmetric_tensor, random_tensor, scalar_sshopm
 from zeigloc.bounds import bound_report
 from zeigloc.localization import build_sets
 from zeigloc.oracle import (
@@ -191,6 +195,96 @@ def test_sshopm_matches_circle_on_dimension2():
             circle_values = [p.value for p in circle_solve(A)]
             for p in sshopm(A, OracleConfig(starts=8, seed=19, tol=1e-13, max_iter=2000)):
                 assert any(abs(p.value - v) <= 1e-6 for v in circle_values)
+
+
+def _outcome_counts(caplog) -> dict[str, int]:
+    (record,) = [r for r in caplog.records if r.name == "zeigloc.oracle"]
+    return {k: int(v) for k, v in re.findall(r"(\w+) (\d+)", record.getMessage().split(": ", 2)[2])}
+
+
+def test_sshopm_logs_run_outcomes(caplog, example2):
+    caplog.set_level(logging.DEBUG, logger="zeigloc.oracle")
+    sshopm(example2, OracleConfig(starts=7, seed=5))
+    counts = _outcome_counts(caplog)
+    assert set(counts) == {"converged", "max_iter", "zero_image", "rejected"}
+    assert counts["converged"] + counts["max_iter"] + counts["zero_image"] == 14
+    assert counts["converged"] > 0
+    assert "shift 10:" in caplog.records[0].getMessage()
+
+
+def test_sshopm_max_iter_one_counts_every_run(caplog, example2):
+    caplog.set_level(logging.DEBUG, logger="zeigloc.oracle")
+    with pytest.warns(RuntimeWarning, match="no candidate") as warned:
+        sshopm(example2, OracleConfig(starts=3, max_iter=1, seed=3))
+    counts = _outcome_counts(caplog)
+    assert counts == {"converged": 0, "max_iter": 6, "zero_image": 0, "rejected": 6}
+    assert "converged 0, max_iter 6, zero_image 0, rejected 6" in str(warned[0].message)
+
+
+def test_sshopm_zero_image_keeps_its_start(caplog):
+    # shift 0 on the zero tensor: every image vanishes before the first step
+    caplog.set_level(logging.DEBUG, logger="zeigloc.oracle")
+    with np.errstate(all="raise"):
+        pairs = sshopm(Tensor.zeros(3, 3), OracleConfig(starts=4, seed=1, shift=0.0))
+    assert _outcome_counts(caplog)["zero_image"] == 8
+    starts = np.random.default_rng(1).standard_normal((4, 3))
+    starts /= np.linalg.norm(starts, axis=1, keepdims=True)
+    got = np.array(sorted(tuple(p.vector) for p in pairs))
+    assert np.abs(got - np.array(sorted(tuple(x) for x in starts))).max() <= 1e-15
+    assert all(p.value == 0.0 and p.residual == 0.0 for p in pairs)
+
+
+def test_sshopm_chunked_block_matches_unchunked(monkeypatch):
+    rng = np.random.default_rng(211)
+    panel = [random_symmetric_tensor(rng, 3, 4), random_tensor(rng, 4, 3), random_tensor(rng, 5, 3)]
+    cfg = OracleConfig(starts=7, seed=13)
+    whole = [sshopm(A, cfg) for A in panel]
+    blocks = []
+    block = oracle_mod._power_block
+
+    def counted(E2T, order, X, *args):
+        blocks.append(len(X))
+        return block(E2T, order, X, *args)
+
+    monkeypatch.setattr(oracle_mod, "_power_block", counted)
+    for A, want in zip(panel, whole):
+        # three runs' intermediates per chunk: 14 runs in 5 chunks
+        per_run = sum(A.dim**k for k in range(1, A.order))
+        monkeypatch.setattr(oracle_mod, "_BLOCK_DOUBLES", 3 * per_run)
+        blocks.clear()
+        got = sshopm(A, cfg)
+        assert blocks == [3, 3, 3, 3, 2]
+        # a one-row block goes through gemv, not gemm: equal up to rounding
+        assert len(got) == len(want)
+        for p, q in zip(got, want):
+            assert p.value == pytest.approx(q.value, rel=1e-12, abs=1e-12)
+            assert np.abs(p.vector - q.vector).max() <= 1e-10
+
+
+def test_sshopm_matches_scalar_reference():
+    rng = np.random.default_rng(20261018)
+    panel = [
+        (3, 3, True, OracleConfig(starts=4, seed=1)),
+        (3, 4, False, OracleConfig(starts=3, seed=2)),
+        (4, 3, True, OracleConfig(starts=3, seed=3, tol=1e-13)),
+        (4, 4, False, OracleConfig(starts=2, seed=4, shift=20.0)),
+        (5, 3, True, OracleConfig(starts=1, seed=5)),
+        (5, 3, False, OracleConfig(starts=3, seed=6, max_iter=1)),
+        (6, 3, True, OracleConfig(starts=2, seed=7, shift=7.5)),
+        (6, 3, False, OracleConfig(starts=1, seed=8, tol=1e-13)),
+        (3, 8, True, OracleConfig(starts=2, seed=9)),
+        (3, 6, False, OracleConfig(starts=2, seed=10, max_iter=1)),
+    ]
+    for m, n, symmetric, cfg in panel:
+        A = random_symmetric_tensor(rng, m, n) if symmetric else random_tensor(rng, m, n)
+        want = scalar_sshopm(A, cfg.starts, cfg.max_iter, cfg.tol, cfg.shift, cfg.seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # max_iter=1 keeps no pair
+            got = sshopm(A, cfg)
+        assert len(got) == len(want), (m, n, cfg)
+        for p, (value, x) in zip(got, want):
+            assert abs(p.value - value) <= 1e-10
+            assert min(np.abs(p.vector - x).max(), np.abs(p.vector + x).max()) <= 1e-8
 
 
 def test_oracle_config_validation():
