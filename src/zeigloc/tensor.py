@@ -148,15 +148,28 @@ def is_symmetric(A: Tensor, tol: float = 1e-12) -> bool:
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    shape, values = A.entries.shape, A.entries.ravel()
+    values = A.entries.ravel()
     hi = np.full(values.size, -np.inf)
     lo = np.full(values.size, np.inf)
-    # blocks of 2^16 entries bound the index arrays, order ints per entry
-    for flat in np.array_split(np.arange(values.size), values.size // 65536 + 1):
-        keys = np.ravel_multi_index(np.sort(np.unravel_index(flat, shape), axis=0), shape)
-        np.maximum.at(hi, keys, values[flat])
-        np.minimum.at(lo, keys, values[flat])
+    for block, keys in _orbit_key_blocks(A.entries.shape):
+        np.maximum.at(hi, keys, values[block])
+        np.minimum.at(lo, keys, values[block])
     return bool(np.max(hi - lo) <= tol)
+
+
+# flat indices per block of the orbit-key pass: bounds its index arrays at
+# order ints per entry
+_ORBIT_BLOCK = 65536
+
+
+def _orbit_key_blocks(shape):
+    """Yield (slice, keys) over the flat indices in blocks of ``_ORBIT_BLOCK``;
+    the orbit key of a flat index is the flat index of its sorted index tuple."""
+    size = math.prod(shape)
+    for start in range(0, size, _ORBIT_BLOCK):
+        block = slice(start, min(start + _ORBIT_BLOCK, size))
+        tuples = np.unravel_index(np.arange(block.start, block.stop), shape)
+        yield block, np.ravel_multi_index(np.sort(tuples, axis=0), shape)
 
 
 @dataclass(frozen=True)
@@ -224,86 +237,189 @@ def is_weakly_symmetric(A: Tensor, trials: int = 20, tol: float = 1e-9, seed: in
 # --------------------------------------------------------------------------
 
 
+# raw lines per parser block: one block's token strings are the only Python
+# objects the parser holds per record
+_PARSE_BLOCK = 8192
+# a symmetric-flag conflict names the first entry of
+# set(itertools.permutations(record)) for orbits up to this size, which covers
+# every order up to 8; a larger orbit names the record's own index tuple
+_NAMED_ORBIT_MAX = math.factorial(8)
+
+
+class _IndexTable(dict):
+    """Index token to 1-based index: '1'..'n' by lookup, any other spelling
+    through int(); an integer out of range maps to 0, failing the block."""
+
+    def __init__(self, dim: int):
+        super().__init__((str(i), i) for i in range(1, dim + 1))
+        self.dim = dim
+
+    def __missing__(self, token):
+        i = int(token)
+        return i if 1 <= i <= self.dim else 0
+
+
+def _read_header(line: str, lineno: int) -> tuple[int, int, bool]:
+    match = _HEADER_RE.match(line)
+    if match is None:
+        raise TensorFormatError(
+            f"malformed header {line!r}, expected 'tensor m=<order> n=<dim> [symmetric]'",
+            lines=(lineno,),
+        )
+    order, dim = int(match.group(1)), int(match.group(2))
+    if order < 2 or dim < 2:
+        raise TensorFormatError(
+            f"tensor needs order >= 2 and dim >= 2, got m={order}, n={dim}",
+            lines=(lineno,),
+        )
+    if dim**order > MAX_DENSE_ENTRIES:
+        raise TensorFormatError(
+            f"dense tensor too large: {dim}**{order} > {MAX_DENSE_ENTRIES}",
+            lines=(lineno,),
+        )
+    return order, dim, match.group(3) is not None
+
+
+def _parse_record(raw: str, lineno: int, order: int, dim: int):
+    """One body line to (1-based index tuple, value), None if it is blank;
+    raises the line's TensorFormatError."""
+    line = raw.split("#", 1)[0].strip()
+    if not line:
+        return None
+    tokens = line.split()
+    if len(tokens) != order + 1:
+        raise TensorFormatError(
+            f"expected {order} indices and a value, got {len(tokens)} fields",
+            lines=(lineno,),
+        )
+    try:
+        idx = tuple(int(t) for t in tokens[:-1])
+    except ValueError:
+        raise TensorFormatError(f"non-integer index in {line!r}", lines=(lineno,)) from None
+    for i in idx:
+        if not 1 <= i <= dim:
+            raise TensorFormatError(f"index {i} out of range 1..{dim}", lines=(lineno,))
+    try:
+        value = float(tokens[-1])
+    except ValueError:
+        raise TensorFormatError(f"bad value {tokens[-1]!r}", lines=(lineno,)) from None
+    if not math.isfinite(value):
+        raise TensorFormatError(f"non-finite value {tokens[-1]!r}", lines=(lineno,))
+    return idx, value
+
+
+def _parse_block(lines: list[str], order: int, index_of: _IndexTable):
+    """(offsets of the record lines, (records, order) 1-based indices, values)
+    of a block of body lines, or None if any line fails a check."""
+    fields = [raw.split("#", 1)[0].split() for raw in lines]
+    counts = np.fromiter(map(len, fields), np.intp, len(fields))
+    rows = np.flatnonzero(counts)
+    if np.any(counts[rows] != order + 1):
+        return None
+    tokens = list(itertools.chain.from_iterable(fields))
+    del fields
+    value_tokens = tokens[order :: order + 1]
+    del tokens[order :: order + 1]
+    try:
+        idx = np.fromiter(map(index_of.__getitem__, tokens), np.intp, len(tokens))
+        values = np.fromiter(map(float, value_tokens), float, len(value_tokens))
+    except ValueError:
+        return None
+    if not (np.all(idx) and np.all(np.isfinite(values))):
+        return None
+    return rows, idx.reshape(-1, order), values
+
+
+def _distinct_permutations(t: tuple):
+    """The distinct permutations of t, in the order itertools.permutations(t)
+    first yields them: a set built from either iterates in the same order."""
+    if not t:
+        yield ()
+    for v in dict.fromkeys(t):
+        k = t.index(v)
+        for rest in _distinct_permutations(t[:k] + t[k + 1 :]):
+            yield (v, *rest)
+
+
+def _conflict(first_value, value, idx, symmetric, lines) -> TensorFormatError:
+    if symmetric:
+        repeats = math.prod(math.factorial(idx.count(i)) for i in set(idx))
+        orbit_size = math.factorial(len(idx)) // repeats
+        if orbit_size <= _NAMED_ORBIT_MAX:
+            idx = next(iter(set(_distinct_permutations(idx))))
+    return TensorFormatError(
+        f"conflicting values {first_value!r} and {value!r} "
+        f"for entry {' '.join(str(i) for i in idx)}",
+        lines=lines,
+    )
+
+
 def parse_tensor(source) -> Tensor:
-    """Parse the tensor text format from a string or a readable file object."""
+    """Parse the tensor text format from a string or a readable file object.
+
+    The body is read in blocks of ``_PARSE_BLOCK`` lines into index and value
+    arrays; a block that fails a check is re-read line by line, so the error
+    names its first bad line.  Records are grouped by flat index (by orbit key
+    with the ``symmetric`` flag) with a stable sort: the first record of a
+    group gives the entry, and a later one more than 1e-12 away from it is a
+    conflict.  Parse errors win over conflicts.
+    """
     text = source.read() if hasattr(source, "read") else source
-    header = None
-    records = []  # (EntryRecord, line_number)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for head, raw in enumerate(lines):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if header is None:
-            match = _HEADER_RE.match(line)
-            if match is None:
-                raise TensorFormatError(
-                    f"malformed header {line!r}, expected 'tensor m=<order> n=<dim> [symmetric]'",
-                    lines=(lineno,),
-                )
-            order, dim = int(match.group(1)), int(match.group(2))
-            symmetric = match.group(3) is not None
-            if order < 2 or dim < 2:
-                raise TensorFormatError(
-                    f"tensor needs order >= 2 and dim >= 2, got m={order}, n={dim}",
-                    lines=(lineno,),
-                )
-            if dim**order > MAX_DENSE_ENTRIES:
-                raise TensorFormatError(
-                    f"dense tensor too large: {dim}**{order} > {MAX_DENSE_ENTRIES}",
-                    lines=(lineno,),
-                )
-            header = (order, dim, symmetric)
-            continue
-        order, dim, _ = header
-        tokens = line.split()
-        if len(tokens) != order + 1:
-            raise TensorFormatError(
-                f"expected {order} indices and a value, got {len(tokens)} fields",
-                lines=(lineno,),
-            )
-        try:
-            idx = tuple(int(t) for t in tokens[:-1])
-        except ValueError:
-            raise TensorFormatError(f"non-integer index in {line!r}", lines=(lineno,)) from None
-        for i in idx:
-            if not 1 <= i <= dim:
-                raise TensorFormatError(f"index {i} out of range 1..{dim}", lines=(lineno,))
-        try:
-            value = float(tokens[-1])
-        except ValueError:
-            raise TensorFormatError(f"bad value {tokens[-1]!r}", lines=(lineno,)) from None
-        if not math.isfinite(value):
-            raise TensorFormatError(f"non-finite value {tokens[-1]!r}", lines=(lineno,))
-        records.append((EntryRecord(idx, value), lineno))
-
-    if header is None:
+        if line:
+            break
+    else:
         raise TensorFormatError("empty input: missing tensor header")
-    order, dim, symmetric = header
+    order, dim, symmetric = _read_header(line, head + 1)
+    shape = (dim,) * order
 
-    seen: dict[tuple[int, ...], tuple[float, int]] = {}
-    for record, lineno in records:
+    index_of = _IndexTable(dim)
+    keys, values, linenos = [np.zeros(0, np.intp)], [np.zeros(0)], [np.zeros(0, np.intp)]
+    for start in range(head + 1, len(lines), _PARSE_BLOCK):
+        block = lines[start : start + _PARSE_BLOCK]
+        parsed = _parse_block(block, order, index_of)
+        if parsed is None:
+            for k, raw in enumerate(block):
+                _parse_record(raw, start + k + 1, order, dim)
+            raise AssertionError("a block failed its checks but none of its lines did")
+        rows, idx, vals = parsed
+        idx -= 1
         if symmetric:
-            positions = set(itertools.permutations(record.indices))
-        else:
-            positions = {record.indices}
-        for pos in positions:
-            pos0 = tuple(i - 1 for i in pos)
-            if pos0 in seen:
-                old_value, old_line = seen[pos0]
-                if abs(old_value - record.value) > 1e-12:
-                    raise TensorFormatError(
-                        f"conflicting values {old_value!r} and {record.value!r} "
-                        f"for entry {' '.join(str(i) for i in pos)}",
-                        lines=(old_line, lineno),
-                    )
-                # agreeing duplicate: keep the first, never sum
-            else:
-                seen[pos0] = (record.value, lineno)
+            idx.sort(axis=1)
+        keys.append(np.ravel_multi_index(idx.T, shape))
+        values.append(vals)
+        linenos.append(rows + (start + 1))
 
-    arr = np.zeros((dim,) * order)
-    for pos0, (value, _) in seen.items():
-        arr[pos0] = value
-    return Tensor(order, dim, arr)
+    keys = np.concatenate(keys)
+    perm = np.argsort(keys, kind="stable")
+    keys, values, linenos = keys[perm], np.concatenate(values)[perm], np.concatenate(linenos)[perm]
+    first = np.ones(keys.size, bool)
+    first[1:] = keys[1:] != keys[:-1]
+    group_first = np.maximum.accumulate(np.where(first, np.arange(keys.size), 0))
+    with np.errstate(over="ignore"):
+        conflict = np.abs(values - values[group_first]) > 1e-12
+    if np.any(conflict):
+        k = np.flatnonzero(conflict)[np.argmin(linenos[conflict])]
+        g, lineno = group_first[k], int(linenos[k])
+        idx, value = _parse_record(lines[lineno - 1], lineno, order, dim)
+        raise _conflict(float(values[g]), value, idx, symmetric, (int(linenos[g]), lineno))
+
+    arr = np.zeros(dim**order)
+    arr[keys[first]] = values[first]
+    if symmetric:
+        for block, orbit_keys in _orbit_key_blocks(shape):
+            arr[block] = arr[orbit_keys]
+    return Tensor(order, dim, arr.reshape(shape))
+
+
+def _listed_entries(A: Tensor) -> tuple[list[list[int]], list[float]]:
+    """1-based index rows and values of the entries the text format lists."""
+    e = A.entries.ravel()
+    flat = np.flatnonzero((e != 0) | np.signbit(e))
+    rows = np.stack(np.unravel_index(flat, A.entries.shape), axis=1) + 1
+    return rows.tolist(), e[flat].tolist()
 
 
 def nonzero_records(A: Tensor) -> list[EntryRecord]:
@@ -312,20 +428,13 @@ def nonzero_records(A: Tensor) -> list[EntryRecord]:
     Negative zero is kept (it serializes as ``-0``) so that a parse after
     serialize reproduces the entry array bitwise.
     """
-    out = []
-    for pos in np.ndindex(A.entries.shape):
-        v = float(A.entries[pos])
-        if v != 0.0 or math.copysign(1.0, v) < 0:
-            out.append(EntryRecord(tuple(i + 1 for i in pos), v))
-    return out
+    return [EntryRecord(tuple(idx), v) for idx, v in zip(*_listed_entries(A))]
 
 
 def serialize_tensor(A: Tensor) -> str:
     """Dense tensor back to the text format with 17-significant-digit values."""
     lines = [f"tensor m={A.order} n={A.dim}"]
-    for record in nonzero_records(A):
-        head = " ".join(str(i) for i in record.indices)
-        lines.append(f"{head} {record.value:.17g}")
+    lines += [f"{' '.join(map(str, idx))} {v:.17g}" for idx, v in zip(*_listed_entries(A))]
     return "\n".join(lines) + "\n"
 
 

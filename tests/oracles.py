@@ -4,16 +4,19 @@ Nothing here calls the library's vectorized code paths: row sums come from a
 plain loop over all index tuples, gradients from central finite differences,
 the localization sets and bounds from per-pair loops over their scalar
 definitions, and power-method eigenpairs from one run at a time over
-``brute_apply``.  Only ``IntervalSet`` and ``Tensor`` come from the library.
+``brute_apply``; the text format is read and written one record at a time.  Only
+``IntervalSet``, ``Tensor``, ``TensorFormatError`` and ``MAX_DENSE_ENTRIES``
+come from the library.
 """
 
 import itertools
 import math
+import re
 
 import numpy as np
 
 from zeigloc.intervals import IntervalSet
-from zeigloc.tensor import Tensor
+from zeigloc.tensor import MAX_DENSE_ENTRIES, Tensor, TensorFormatError
 
 
 def brute_row_aggregates(entries: np.ndarray):
@@ -278,3 +281,95 @@ def n2_eigenvalues(entries: np.ndarray) -> list[float]:
         if m % 2 == 1 and abs(lam) > 5e-7:
             out.append(-lam)
     return sorted(out)
+
+
+_HEADER_RE = re.compile(r"^tensor\s+m=(\d+)\s+n=(\d+)(\s+symmetric)?\s*$")
+
+
+def scalar_parse_tensor(text: str) -> Tensor:
+    """Reference reader of the tensor text format: one record at a time, each
+    ``symmetric``-flag record expanded to every permutation of its tuple, and
+    duplicates found through a dict of the positions seen so far."""
+    header = None
+    records = []  # (indices, value, line_number)
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if header is None:
+            match = _HEADER_RE.match(line)
+            if match is None:
+                raise TensorFormatError(
+                    f"malformed header {line!r}, expected 'tensor m=<order> n=<dim> [symmetric]'",
+                    lines=(lineno,),
+                )
+            order, dim = int(match.group(1)), int(match.group(2))
+            symmetric = match.group(3) is not None
+            if order < 2 or dim < 2:
+                raise TensorFormatError(
+                    f"tensor needs order >= 2 and dim >= 2, got m={order}, n={dim}",
+                    lines=(lineno,),
+                )
+            if dim**order > MAX_DENSE_ENTRIES:
+                raise TensorFormatError(
+                    f"dense tensor too large: {dim}**{order} > {MAX_DENSE_ENTRIES}",
+                    lines=(lineno,),
+                )
+            header = (order, dim, symmetric)
+            continue
+        order, dim, _ = header
+        tokens = line.split()
+        if len(tokens) != order + 1:
+            raise TensorFormatError(
+                f"expected {order} indices and a value, got {len(tokens)} fields",
+                lines=(lineno,),
+            )
+        try:
+            idx = tuple(int(t) for t in tokens[:-1])
+        except ValueError:
+            raise TensorFormatError(f"non-integer index in {line!r}", lines=(lineno,)) from None
+        for i in idx:
+            if not 1 <= i <= dim:
+                raise TensorFormatError(f"index {i} out of range 1..{dim}", lines=(lineno,))
+        try:
+            value = float(tokens[-1])
+        except ValueError:
+            raise TensorFormatError(f"bad value {tokens[-1]!r}", lines=(lineno,)) from None
+        if not math.isfinite(value):
+            raise TensorFormatError(f"non-finite value {tokens[-1]!r}", lines=(lineno,))
+        records.append((idx, value, lineno))
+
+    if header is None:
+        raise TensorFormatError("empty input: missing tensor header")
+    order, dim, symmetric = header
+
+    seen = {}
+    for idx, value, lineno in records:
+        positions = set(itertools.permutations(idx)) if symmetric else {idx}
+        for pos in positions:
+            if pos in seen:
+                old_value, old_line = seen[pos]
+                if abs(old_value - value) > 1e-12:
+                    raise TensorFormatError(
+                        f"conflicting values {old_value!r} and {value!r} "
+                        f"for entry {' '.join(str(i) for i in pos)}",
+                        lines=(old_line, lineno),
+                    )
+            else:
+                seen[pos] = (value, lineno)
+
+    arr = np.zeros((dim,) * order)
+    for pos, (value, _) in seen.items():
+        arr[tuple(i - 1 for i in pos)] = value
+    return Tensor(order, dim, arr)
+
+
+def scalar_serialize_tensor(A: Tensor) -> str:
+    """Reference writer of the text format: one ``np.ndindex`` step per entry,
+    listing every nonzero entry and every negative zero."""
+    lines = [f"tensor m={A.order} n={A.dim}"]
+    for pos in np.ndindex(A.entries.shape):
+        v = float(A.entries[pos])
+        if v != 0.0 or math.copysign(1.0, v) < 0:
+            lines.append(f"{' '.join(str(i + 1) for i in pos)} {v:.17g}")
+    return "\n".join(lines) + "\n"

@@ -1,0 +1,308 @@
+"""The array parser and writer against the one-record-at-a-time references.
+
+Valid files must give bitwise-equal entries, malformed files the same
+message and line numbers, and the writer the same text.  The seeded panel
+runs with the default block size and with blocks of 3 lines, so that block
+boundaries fall everywhere.
+"""
+
+import itertools
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import zeigloc.tensor as tensor_module
+from oracles import random_symmetric_tensor, scalar_parse_tensor, scalar_serialize_tensor
+from zeigloc.tensor import (
+    MAX_DENSE_ENTRIES,
+    Tensor,
+    TensorFormatError,
+    is_symmetric,
+    nonzero_records,
+    parse_tensor,
+    serialize_tensor,
+)
+
+SHAPES = ((2, 2), (2, 12), (2, 30), (3, 3), (3, 11), (4, 2), (4, 3), (5, 2))
+SEPARATORS = (" ", "  ", "\t", " \t ")
+FILLERS = ("", "   ", "\t", "# a comment line", "  # indented comment")
+VALUE_SPELLINGS = ("1e3", "-0", "-0.0", "0", "1_0.5", "+2.5", "7", "-1E-3")
+
+
+def outcome(parse, text):
+    try:
+        A = parse(text)
+    except TensorFormatError as exc:
+        return "error", str(exc), exc.lines
+    return "ok", A.entries.shape, A.entries.tobytes()
+
+
+def assert_same_outcome(text):
+    want = outcome(scalar_parse_tensor, text)
+    assert outcome(parse_tensor, text) == want
+    return want
+
+
+def spell_index(rng, i):
+    forms = [str(i), str(i), f"+{i}", f"0{i}"]
+    if i >= 10:
+        forms.append(f"{str(i)[0]}_{str(i)[1:]}")
+    return forms[rng.integers(len(forms))]
+
+
+def spell_value(rng):
+    if rng.random() < 0.3:
+        return VALUE_SPELLINGS[rng.integers(len(VALUE_SPELLINGS))]
+    v = float(rng.uniform(-2.0, 2.0))
+    return (repr(v), f"{v:.17g}", f"{v:.4e}")[rng.integers(3)]
+
+
+def record_line(rng, indices, value):
+    sep = SEPARATORS[rng.integers(len(SEPARATORS))]
+    line = sep.join([*(spell_index(rng, i) for i in indices), value])
+    if rng.random() < 0.2:
+        line = f"  {line}  # trailing comment"
+    return line
+
+
+def records(rng, m, n, symmetric):
+    """(indices, value token) of a random subset of entries, or of orbits
+    with their representative in a random order, shuffled, with agreeing
+    duplicates (another representative for a symmetric file) re-listed."""
+    if symmetric:
+        tuples = list(itertools.combinations_with_replacement(range(1, n + 1), m))
+    else:
+        tuples = list(itertools.product(range(1, n + 1), repeat=m))
+    out = [(t, spell_value(rng)) for t in tuples if rng.random() < 0.6]
+    out = [out[k] for k in rng.permutation(len(out))]
+    for k in rng.choice(len(out), size=min(len(out), 3), replace=False):
+        t, value = out[k]
+        again = float(value) + float(rng.choice([0.0, 4e-13, -9e-13]))
+        out.insert(int(rng.integers(k + 1, len(out) + 1)), (t, repr(again)))
+    if symmetric:
+        out = [(tuple(rng.permutation(t).tolist()), value) for t, value in out]
+    return out
+
+
+def file_text(rng, m, n, symmetric, body):
+    head = [FILLERS[k] for k in rng.integers(len(FILLERS), size=int(rng.integers(0, 3)))]
+    header = f"tensor m={m} n={n}" + (" symmetric" if symmetric else "")
+    lines = [*head, header + ("  # header" if rng.random() < 0.3 else "")]
+    for line in body:
+        if rng.random() < 0.1:
+            lines.append(FILLERS[rng.integers(len(FILLERS))])
+        lines.append(line)
+    return "\n".join(lines) + ("\n" if rng.random() < 0.8 else "")
+
+
+def bad_lines(m, n):
+    ones = ["1"] * (m - 1)
+    return [
+        " ".join(["1"] * m),
+        " ".join(["1"] * (m + 1)) + " 2.0",
+        " ".join([*ones, "x", "1.0"]),
+        " ".join([*ones, "1.0", "1.0"]),
+        " ".join([*ones, str(n + 1), "1.0"]),
+        " ".join(["0", *ones, "1.0"]),
+        " ".join([*ones, "-2", "1.0"]),
+        " ".join([*ones, "99999999999999999999", "1.0"]),
+        " ".join([*ones, "1", "abc"]),
+        " ".join([*ones, "1", "1,5"]),
+        " ".join([*ones, "1", "nan"]),
+        " ".join([*ones, "1", "inf"]),
+        " ".join([*ones, "1", "-Infinity"]),
+    ]
+
+
+def conflicting(rng, body_records, symmetric):
+    """A record re-listed later (in another order of its orbit for a
+    symmetric file) with a value beyond 1e-12 of the first one's."""
+    k = int(rng.integers(len(body_records)))
+    t, value = body_records[k]
+    if symmetric:
+        t = tuple(rng.permutation(t).tolist())
+    return k, (t, repr(float(value) + float(rng.choice([2.5e-12, -0.5, 3.0]))))
+
+
+def panel(seed):
+    """(kind, text) of valid files, files with one or two bad lines, files
+    with a conflict and files with a conflict before a bad line."""
+    rng = np.random.default_rng(seed)
+    for m, n in SHAPES:
+        for symmetric in (False, True):
+            recs = records(rng, m, n, symmetric)
+            lines = [record_line(rng, t, v) for t, v in recs]
+            yield "valid", file_text(rng, m, n, symmetric, lines)
+            if not recs:
+                continue
+            bad = bad_lines(m, n)
+            one = list(lines)
+            one.insert(int(rng.integers(len(one) + 1)), bad[rng.integers(len(bad))])
+            yield "bad", file_text(rng, m, n, symmetric, one)
+            two = list(one)
+            two.insert(int(rng.integers(len(two) + 1)), bad[rng.integers(len(bad))])
+            yield "two bad", file_text(rng, m, n, symmetric, two)
+            k, extra = conflicting(rng, recs, symmetric)
+            clash = list(lines)
+            at = int(rng.integers(k + 1, len(clash) + 1))
+            clash.insert(at, record_line(rng, *extra))
+            yield "conflict", file_text(rng, m, n, symmetric, clash)
+            clash.insert(int(rng.integers(at + 1, len(clash) + 1)), bad[rng.integers(len(bad))])
+            yield "conflict then bad", file_text(rng, m, n, symmetric, clash)
+
+
+@pytest.mark.parametrize("block", [3, 8192])
+def test_parse_matches_scalar_reader_on_seeded_panel(monkeypatch, block):
+    monkeypatch.setattr(tensor_module, "_PARSE_BLOCK", block)
+    seen = {}
+    for seed in (20261018, 5):
+        for kind, text in panel(seed):
+            result = assert_same_outcome(text)
+            seen.setdefault(kind, set()).add(result[0])
+    # the panel reaches both outcomes where it should
+    assert seen["valid"] == {"ok"}
+    assert seen["bad"] == seen["two bad"] == seen["conflict then bad"] == {"error"}
+    assert seen["conflict"] == {"error"}
+
+
+def test_panel_holds_negative_zero_and_every_spelling():
+    texts = [text for kind, text in panel(20261018) if kind == "valid"]
+    joined = "\n".join(texts)
+    for token in ("+1", "01", "1_0", "1e3", "-0", "1_0.5", "\t", "#"):
+        assert token in joined
+    entries = [parse_tensor(t).entries for t in texts]
+    assert any(np.any(np.signbit(e) & (e == 0)) for e in entries)
+
+
+def test_agreeing_duplicate_keeps_the_first_value():
+    text = "tensor m=2 n=2\n1 2 1.0\n1 2 1.0000000000009\n1 2 0.9999999999995\n"
+    A = parse_tensor(text)
+    assert A.entry((1, 2)) == 1.0
+    assert outcome(parse_tensor, text) == outcome(scalar_parse_tensor, text)
+
+
+def test_conflict_is_measured_from_the_first_record():
+    # the third line is within 1e-12 of the second but not of the first
+    text = "tensor m=2 n=2\n1 2 1.0\n1 2 1.0000000000009\n1 2 1.0000000000015\n"
+    kind, message, lines = assert_same_outcome(text)
+    assert kind == "error" and lines == (2, 4)
+    assert message.startswith("conflicting values 1.0 and 1.0000000000015 for entry 1 2")
+
+
+def test_earliest_conflict_in_file_order_is_reported():
+    # the conflict on entry 2 2 comes first in the file, the one on 1 1 first by index
+    text = "tensor m=2 n=2\n2 2 1.0\n2 2 5.0\n1 1 1.0\n1 1 5.0\n"
+    assert assert_same_outcome(text) == (
+        "error",
+        "conflicting values 1.0 and 5.0 for entry 2 2 (lines 2, 3)",
+        (2, 3),
+    )
+
+
+def test_symmetric_conflict_names_the_same_entry():
+    for rep in ("2 1 3 1", "3 1 1 2", "1 1 2 3", "3 2 1 1"):
+        text = f"tensor m=4 n=3 symmetric\n1 1 2 3 0.5\n2 2 2 2 1\n{rep} 0.75\n"
+        kind, message, lines = assert_same_outcome(text)
+        assert kind == "error" and lines == (2, 4)
+
+
+def test_symmetric_conflict_in_a_large_orbit_names_the_record():
+    # the orbit of 1 1 2 2 3 4 5 6 7 has 9!/4 = 90720 > 8! positions
+    text = "tensor m=9 n=7 symmetric\n1 1 2 2 3 4 5 6 7 1.0\n2 1 1 2 3 4 5 6 7 2.0\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(TensorFormatError) as err:
+            parse_tensor(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (
+        "conflicting values 1.0 and 2.0 for entry 2 1 1 2 3 4 5 6 7 (lines 2, 3)"
+    )
+    assert peak < 2**20  # neither the 7**9 entries nor the orbit's positions
+
+
+def test_first_error_in_a_later_block_is_found():
+    n = 100
+    body = [f"{i} {j} {i + j / 1000}" for i in range(1, n + 1) for j in range(1, n + 1)]
+    body[9500] = "5 6 not-a-number"
+    text = "tensor m=2 n=100\n" + "\n".join(body) + "\n"
+    kind, message, lines = assert_same_outcome(text)
+    assert kind == "error" and lines == (9502,)
+    assert lines[0] > tensor_module._PARSE_BLOCK
+    assert message == "bad value 'not-a-number' (line 9502)"
+
+
+@pytest.mark.parametrize("block", [4, 8192])
+def test_two_bad_lines_report_the_earlier(monkeypatch, block):
+    monkeypatch.setattr(tensor_module, "_PARSE_BLOCK", block)
+    body = [f"{i} {j} 1.0" for i in range(1, 4) for j in range(1, 4)]
+    body[6] = "1 2 3 4.0"  # field count, line 8
+    body[3] = "1 4 1.0"  # out of range, line 5, earlier but a later check
+    text = "tensor m=2 n=3\n" + "\n".join(body)
+    assert assert_same_outcome(text) == ("error", "index 4 out of range 1..3 (line 5)", (5,))
+
+
+@pytest.mark.parametrize("block", [2, 8192])
+def test_parse_error_wins_over_an_earlier_conflict(monkeypatch, block):
+    monkeypatch.setattr(tensor_module, "_PARSE_BLOCK", block)
+    text = "tensor m=2 n=2\n1 1 1.0\n1 1 2.0\n2 2 3.0\n2 1 inf\n"
+    assert assert_same_outcome(text) == ("error", "non-finite value 'inf' (line 5)", (5,))
+
+
+def test_orbit_block_size_does_not_change_results(monkeypatch):
+    rng = np.random.default_rng(31)
+    cases = []
+    for m, n in ((3, 4), (4, 3), (5, 2), (2, 9)):
+        A = random_symmetric_tensor(rng, m, n, low=-1.0, high=1.0)
+        listing = "\n".join(
+            " ".join(map(str, t)) + f" {A.entry(t)!r}"
+            for t in itertools.combinations_with_replacement(range(1, n + 1), m)
+        )
+        skewed = A.entries.copy()
+        skewed[(0,) * (m - 1) + (1,)] += 1e-9
+        cases.append((f"tensor m={m} n={n} symmetric\n{listing}\n", Tensor(m, n, skewed)))
+
+    def results():
+        return [(parse_tensor(text).entries.tobytes(), is_symmetric(B)) for text, B in cases]
+
+    default = results()
+    monkeypatch.setattr(tensor_module, "_ORBIT_BLOCK", 5)
+    assert results() == default
+    assert [sym for _, sym in default] == [False] * len(cases)
+    for text, _ in cases:
+        assert is_symmetric(parse_tensor(text))
+
+
+def test_oversized_header_is_refused_before_allocating():
+    # 10001**2 entries would take 800 MB; the refusal must not come near that
+    text = "tensor m=2 n=10001\n" + "1 1 1.0\n" * 1000
+    assert 10001**2 > MAX_DENSE_ENTRIES
+    tracemalloc.start()
+    try:
+        with pytest.raises(TensorFormatError) as err:
+            parse_tensor(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.lines == (1,)
+    assert peak < 2**20
+
+
+def test_serialize_matches_scalar_writer(example1, example2):
+    rng = np.random.default_rng(43)
+    tensors = [example1, example2, Tensor.zeros(3, 2)]
+    for m, n in ((2, 2), (3, 4), (4, 3), (2, 12), (5, 2)):
+        arr = rng.uniform(-1.0, 1.0, (n,) * m) * (rng.random((n,) * m) < 0.5)
+        arr[rng.random((n,) * m) < 0.1] = -0.0
+        tensors.append(Tensor(m, n, arr))
+    for A in tensors:
+        text = serialize_tensor(A)
+        assert text == scalar_serialize_tensor(A)
+        body = [line.split() for line in text.splitlines()[1:]]
+        records = nonzero_records(A)
+        assert [r.indices for r in records] == [tuple(map(int, b[:-1])) for b in body]
+        assert [r.value for r in records] == [float(b[-1]) for b in body]
+        assert all(type(i) is int for r in records for i in r.indices)
+        assert all(type(r.value) is float for r in records)

@@ -1,6 +1,8 @@
 """Property tests: the ``IntervalSet`` laws, the inclusion chain and the
-bound order on generated tensors.  Examples are derandomized, so every run
-checks the same cases."""
+bound order on generated tensors, and the text format's round trips.
+Examples are derandomized, so every run checks the same cases."""
+
+import itertools
 
 import numpy as np
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from zeigloc.bounds import bound_report
 from zeigloc.intervals import IntervalSet
 from zeigloc.localization import inclusion_chain_check
-from zeigloc.tensor import Tensor
+from zeigloc.tensor import Tensor, is_symmetric, parse_tensor, serialize_tensor
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -64,3 +66,53 @@ def test_inclusion_chain_and_bound_order(A):
     assert v["omega_max"] <= v["zhao"] + slack
     assert v["zhao"] <= v["wang"] + slack
     assert v["wang"] <= v["maxR"] + slack
+
+
+# every float the format must carry: signed zeros, integers, subnormals and
+# the largest finite magnitudes
+_any_entry = st.one_of(
+    st.just(0.0),
+    st.just(-0.0),
+    st.integers(-3, 3).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def orbit_listings(draw):
+    """A symmetric tensor built from one value per orbit, and its
+    ``symmetric``-flag listing: one record per orbit whose value is not +0,
+    each tuple written in one drawn order, the records in a drawn order."""
+    m, n = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    orbits = list(itertools.combinations_with_replacement(range(n), m))
+    values = draw(st.lists(_any_entry, min_size=len(orbits), max_size=len(orbits)))
+    written = draw(st.permutations(range(m)))
+    arr = np.zeros((n,) * m)
+    body = []
+    for t, v in zip(orbits, values):
+        for pos in itertools.permutations(t):
+            arr[pos] = v
+        if v != 0.0 or np.signbit(v):
+            body.append(" ".join(str(t[k] + 1) for k in written) + f" {v!r}")
+    body = draw(st.permutations(body))
+    return Tensor(m, n, arr), "\n".join([f"tensor m={m} n={n} symmetric", *body]) + "\n"
+
+
+@st.composite
+def any_tensors(draw):
+    m, n = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    return Tensor(m, n, draw(arrays(np.float64, (n,) * m, elements=_any_entry)))
+
+
+@PROPERTY
+@given(any_tensors())
+def test_parse_after_serialize_is_the_identity(A):
+    assert parse_tensor(serialize_tensor(A)).entries.tobytes() == A.entries.tobytes()
+
+
+@PROPERTY
+@given(orbit_listings())
+def test_orbit_listing_parses_to_its_symmetric_tensor(case):
+    A, text = case
+    assert is_symmetric(A, tol=0.0)
+    assert parse_tensor(text).entries.tobytes() == A.entries.tobytes()
