@@ -38,7 +38,6 @@ from .tensor import (
     gradient,
     is_nonnegative,
     is_symmetric,
-    is_weakly_symmetric,
     load_tensor,
     nonzero_records,
     parse_tensor,
@@ -72,7 +71,6 @@ __all__ = [
     "inclusion_chain_check",
     "is_nonnegative",
     "is_symmetric",
-    "is_weakly_symmetric",
     "load_tensor",
     "nonzero_records",
     "parse_tensor",

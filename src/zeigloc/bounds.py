@@ -64,7 +64,7 @@ def _max_row_min(hi: np.ndarray) -> BoundValue:
     return BoundValue(value=float(row_min[i]), i=i + 1, j=int(j[i]) + 1)
 
 
-def bound_report(A: Tensor, agg: RowAggregates | None = None, seed: int = 42) -> BoundReport:
+def bound_report(A: Tensor, agg: RowAggregates | None = None) -> BoundReport:
     """All four bounds with witnesses and applicability flags.
 
     For a nonnegative tensor the four values must come out in nondecreasing
@@ -86,7 +86,7 @@ def bound_report(A: Tensor, agg: RowAggregates | None = None, seed: int = 42) ->
         wang=_max_row_min(hi["L"]),
         maxR=BoundValue(value=float(agg.R[i]), i=i + 1),
         nonnegative=is_nonnegative(A),
-        weak_symmetry=weak_symmetry_check(A, seed=seed),
+        weak_symmetry=weak_symmetry_check(A),
     )
     if report.nonnegative:
         values = [report.omega_max.value, report.zhao.value, report.wang.value, report.maxR.value]

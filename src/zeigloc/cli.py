@@ -7,6 +7,7 @@ precision (17 significant digits).  Exit codes: 0 success or verified,
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -97,8 +98,6 @@ def _info_section(A: Tensor, wsc) -> dict:
         "symmetric": is_symmetric(A),
         "weakly_symmetric": {
             "verdict": wsc.ok,
-            "trials": wsc.trials,
-            "seed": wsc.seed,
             "tol": wsc.tol,
             "max_residual": wsc.max_residual,
             "threshold": wsc.threshold,
@@ -165,8 +164,7 @@ def _text_info(section: dict) -> str:
             f"nonnegative:       {flag(section['nonnegative'])}",
             f"symmetric:         {flag(section['symmetric'])}",
             f"weakly symmetric:  {flag(ws['verdict'])} "
-            f"(sampled: trials={ws['trials']}, seed={ws['seed']}, "
-            f"max residual {ws['max_residual']:.3e})",
+            f"(exact, max residual {ws['max_residual']:.3e})",
         ]
     )
 
@@ -302,7 +300,7 @@ def _run_oracle(A, args):
 
 def cmd_info(args) -> int:
     A = load_tensor(args.path)
-    section = _info_section(A, weak_symmetry_check(A, seed=args.seed))
+    section = _info_section(A, weak_symmetry_check(A))
     if args.format == "structured":
         print(render_json({"meta": _meta(args, "info"), "info": section}))
     else:
@@ -327,7 +325,7 @@ def cmd_sets(args) -> int:
 
 def cmd_bounds(args) -> int:
     A = load_tensor(args.path)
-    rep = bound_report(A, seed=args.seed)
+    rep = bound_report(A)
     if args.format == "structured":
         print(render_json({"meta": _meta(args, "bounds"), "bounds": _bounds_section(rep)}))
     else:
@@ -360,7 +358,7 @@ def cmd_verify(args) -> int:
     A = load_tensor(args.path)
     agg = row_aggregates(A)
     reports = build_sets(A, agg)
-    bounds = bound_report(A, agg, seed=args.seed)
+    bounds = bound_report(A, agg)
     chain = inclusion_chain_check(A, reports=reports)
     pairs = _run_oracle(A, args)
     checked = _corrupted(reports) if args.corrupt_sets else reports
@@ -420,6 +418,7 @@ def _add_oracle_opts(sub):
     sub.add_argument("--max-iter", type=int, default=1000)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zeigloc",
@@ -431,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("info", help="structural predicates of the tensor")
     _add_common(sub, ("text", "structured"))
-    sub.add_argument("--seed", type=int, default=42, help="weak-symmetry sampling seed")
     sub.set_defaults(func=cmd_info)
 
     sub = subs.add_parser("sets", help="localization sets K, L, Psi, Omega")
@@ -443,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("bounds", help="spectral-radius upper bounds")
     _add_common(sub, ("text", "structured"))
-    sub.add_argument("--seed", type=int, default=42, help="weak-symmetry sampling seed")
     sub.set_defaults(func=cmd_bounds)
 
     sub = subs.add_parser("zeig", help="Z-eigenpairs from the desk-scale oracle")

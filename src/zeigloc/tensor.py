@@ -174,55 +174,58 @@ def _orbit_key_blocks(shape):
 
 @dataclass(frozen=True)
 class WeakSymmetryCheck:
-    """Outcome of the sampled weak-symmetry test, kept for reproducible reports."""
+    """Outcome of the exact weak-symmetry test."""
 
     ok: bool
     max_residual: float
     threshold: float
-    trials: int
     tol: float
-    seed: int
 
 
-def weak_symmetry_check(
-    A: Tensor, trials: int = 20, tol: float = 1e-9, seed: int = 42
-) -> WeakSymmetryCheck:
-    """Randomized test of the gradient identity grad(A x^m) = m * A x^(m-1).
+def weak_symmetry_check(A: Tensor, tol: float = 1e-9) -> WeakSymmetryCheck:
+    """Exact test of the gradient identity grad(A x^m) = m * A x^(m-1).
 
-    Both sides are degree m-1 polynomials, so agreement at ``trials`` random
-    unit vectors certifies the identity except on a zero-measure event.  The
-    verdict compares the worst componentwise residual against
-    ``tol * (1 + max |entry|)``.
+    Coefficient by coefficient the identity says: for every row i and tail
+    tuple t, the mean of a[i, .] over the permutations of t equals the mean
+    of a over the permutations of (i, t).  The tail means come from one pass
+    over the entries keyed by (row, sorted tail).  The mean over the
+    permutations of a sorted m-tuple s is the average of the m tail means at
+    (s[p], s without s[p]), so it needs no second pass over the entries.
+    ``max_residual`` is the largest difference of the two means, and the
+    verdict compares it against ``tol * (1 + max |entry|)``.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    rng = np.random.default_rng(seed)
+    m, n = A.order, A.dim
+    tail_shape = (n,) * (m - 1)
+    keys = np.concatenate([keys for _, keys in _orbit_key_blocks(tail_shape)])
+    sorted_flat = np.flatnonzero(keys == np.arange(keys.size))
+    # rank[f]: column of tail f's sorted tuple among the sorted tails (in
+    # lexicographic order).  means[i, r]: mean of a[i, .] over the orbit of
+    # sorted tail r, bincount(rank)[r] tails; a bincount per row builds no
+    # index array the size of the tensor
+    rank = np.searchsorted(sorted_flat, keys)
+    tails = np.unravel_index(sorted_flat, tail_shape)
+    means = np.empty((n, sorted_flat.size))
+    for i, row in enumerate(A.entries.reshape(n, -1)):
+        means[i] = np.bincount(rank, row, sorted_flat.size)
+    means /= np.bincount(rank)
+
     worst = 0.0
-    for _ in range(trials):
-        x = rng.standard_normal(A.dim)
-        nrm = np.linalg.norm(x)
-        if nrm < 1e-12:
-            x = np.zeros(A.dim)
-            x[0] = 1.0
-        else:
-            x = x / nrm
-        res = float(np.max(np.abs(gradient(A, x) - A.order * apply(A, x))))
-        worst = max(worst, res)
+    step = max(1, _ORBIT_BLOCK // sorted_flat.size)
+    for start in range(0, n, step):
+        # every sorted m-tuple is s = (i, t) with i <= t[0]
+        i, r = np.nonzero(np.arange(start, min(start + step, n))[:, None] <= tails[0])
+        s = np.stack([i + start, *(t[r] for t in tails)])
+        tail_means = np.stack(
+            [
+                means[s[p], rank[np.ravel_multi_index(np.delete(s, p, axis=0), tail_shape)]]
+                for p in range(m)
+            ]
+        )
+        worst = max(worst, float(np.max(np.abs(tail_means - tail_means.mean(axis=0)))))
     threshold = tol * (1.0 + A.max_abs_entry())
-    return WeakSymmetryCheck(
-        ok=worst <= threshold,
-        max_residual=worst,
-        threshold=threshold,
-        trials=trials,
-        tol=tol,
-        seed=seed,
-    )
-
-
-def is_weakly_symmetric(A: Tensor, trials: int = 20, tol: float = 1e-9, seed: int = 42) -> bool:
-    return weak_symmetry_check(A, trials=trials, tol=tol, seed=seed).ok
+    return WeakSymmetryCheck(ok=worst <= threshold, max_residual=worst, threshold=threshold, tol=tol)
 
 
 # --------------------------------------------------------------------------

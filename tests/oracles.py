@@ -3,7 +3,8 @@
 Nothing here calls the library's vectorized code paths: row sums come from a
 plain loop over all index tuples, gradients from central finite differences,
 the localization sets and bounds from per-pair loops over their scalar
-definitions, and power-method eigenpairs from one run at a time over
+definitions, weak symmetry from a loop over rows, tail tuples and their
+permutations, and power-method eigenpairs from one run at a time over
 ``brute_apply``; the text format is read and written one record at a time.  Only
 ``IntervalSet``, ``Tensor``, ``TensorFormatError`` and ``MAX_DENSE_ENTRIES``
 come from the library.
@@ -160,6 +161,60 @@ def brute_apply(entries: np.ndarray, x):
             prod *= x[k]
         y[idx[0]] += prod
     return y
+
+
+def brute_gradient(entries: np.ndarray, x):
+    """Gradient of ``brute_polyval``: each index position p of each entry adds
+    the product of x over the other positions to component idx[p]."""
+    m, n = entries.ndim, entries.shape[0]
+    g = np.zeros(n)
+    for idx in itertools.product(range(n), repeat=m):
+        for p in range(m):
+            prod = float(entries[idx])
+            for q in range(m):
+                if q != p:
+                    prod *= x[idx[q]]
+            g[idx[p]] += prod
+    return g
+
+
+def brute_weak_symmetry(entries: np.ndarray, tol: float = 1e-9):
+    """(verdict, residual) of the exact weak-symmetry test by enumeration.
+
+    For every row i and every tail tuple t, the mean of a[i, .] over the
+    permutations of t is compared with the mean of a over the permutations of
+    (i, t); the residual is the largest difference, and the verdict compares
+    it against ``tol * (1 + max |entry|)``.  Each mean depends only on the
+    sorted tuple, so it is computed once per sorted tuple.
+    """
+    m, n = entries.ndim, entries.shape[0]
+    tail_mean, full_mean = {}, {}
+    worst = 0.0
+    for i in range(n):
+        for t in itertools.product(range(n), repeat=m - 1):
+            tail_key, full_key = (i, tuple(sorted(t))), tuple(sorted((i,) + t))
+            if tail_key not in tail_mean:
+                perms = list(itertools.permutations(t))
+                tail_mean[tail_key] = sum(float(entries[(i,) + p]) for p in perms) / len(perms)
+            if full_key not in full_mean:
+                perms = list(itertools.permutations((i,) + t))
+                full_mean[full_key] = sum(float(entries[p]) for p in perms) / len(perms)
+            worst = max(worst, abs(tail_mean[tail_key] - full_mean[full_key]))
+    return worst <= tol * (1.0 + float(np.max(np.abs(entries)))), worst
+
+
+def sampled_weak_symmetry(entries: np.ndarray, trials: int = 20, tol: float = 1e-9, seed=42):
+    """(verdict, residual) of grad f(x) = m A x^(m-1) tested at ``trials``
+    random unit vectors, from ``brute_gradient`` and ``brute_apply``.  Both
+    sides are polynomials, so a random point misses a failure of the identity
+    only on a null set: the verdict cross-checks the exact test."""
+    m, n = entries.ndim, entries.shape[0]
+    worst = 0.0
+    for x in np.random.default_rng(seed).standard_normal((trials, n)):
+        x = x / np.linalg.norm(x)
+        res = brute_gradient(entries, x) - m * brute_apply(entries, x)
+        worst = max(worst, float(np.max(np.abs(res))))
+    return worst <= tol * (1.0 + float(np.max(np.abs(entries)))), worst
 
 
 def brute_polyval(entries: np.ndarray, x) -> float:

@@ -2,13 +2,14 @@ import importlib
 
 import zeigloc
 
-# names the sets and bounds no longer export; build_sets and bound_report
-# carry the same values
+# names the library no longer exports: build_sets and bound_report carry the
+# values of the sets and bounds, and weak_symmetry_check the exact verdict
 REMOVED = {
     "zeigloc": (
         "set_K", "set_L", "set_Psi", "set_Omega", "bound_maxR", "bound_wang",
-        "bound_zhao", "bound_omega", "quadratic_region",
+        "bound_zhao", "bound_omega", "quadratic_region", "is_weakly_symmetric",
     ),
+    "zeigloc.tensor": ("is_weakly_symmetric",),
     "zeigloc.localization": (
         "set_K", "set_L", "set_Psi", "set_Omega", "_union", "_intersect_over_partners",
     ),

@@ -6,6 +6,7 @@ import zeigloc.localization as localization_mod
 from zeigloc.bounds import bound_report
 from zeigloc.cli import main, render_json
 from zeigloc.localization import RowAggregates, build_sets
+from zeigloc.tensor import weak_symmetry_check
 
 
 def run(capsys, *argv):
@@ -14,13 +15,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_info_text_example2(capsys, example2_path):
+def test_info_text_example2(capsys, example2_path, example2):
     code, out, _ = run(capsys, "info", example2_path)
     assert code == 0
     assert "nonnegative:       yes" in out
     assert "symmetric:         no" in out
-    assert "weakly symmetric:  yes" in out
-    assert "seed=42" in out
+    residual = weak_symmetry_check(example2).max_residual
+    assert f"weakly symmetric:  yes (exact, max residual {residual:.3e})" in out
 
 
 def test_info_text_example1(capsys, example1_path):
@@ -39,7 +40,13 @@ def test_info_structured(capsys, example2_path, example2):
     assert info["nonnegative"] is True
     assert info["symmetric"] is False
     assert info["weakly_symmetric"]["verdict"] is True
-    assert info["weakly_symmetric"]["seed"] == 42
+    chk = weak_symmetry_check(example2)
+    assert info["weakly_symmetric"] == {
+        "verdict": True,
+        "tol": 1e-9,
+        "max_residual": chk.max_residual,
+        "threshold": chk.threshold,
+    }
 
 
 def test_sets_text_four_decimal_display(capsys, example1_path):

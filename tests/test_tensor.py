@@ -4,13 +4,16 @@ import math
 import numpy as np
 import pytest
 
+import zeigloc.tensor as tensor_mod
 from oracles import (
     brute_apply,
     brute_polyval,
+    brute_weak_symmetry,
     fd_gradient,
     random_symmetric_tensor,
     random_tensor,
     random_unit_vector,
+    sampled_weak_symmetry,
 )
 from zeigloc.tensor import (
     Tensor,
@@ -19,7 +22,6 @@ from zeigloc.tensor import (
     gradient,
     is_nonnegative,
     is_symmetric,
-    is_weakly_symmetric,
     nonzero_records,
     parse_tensor,
     polyval,
@@ -294,26 +296,84 @@ def test_is_symmetric_matches_all_permutations_max():
 
 
 def test_weak_symmetry_example2(example2):
-    assert is_weakly_symmetric(example2, trials=20, tol=1e-9)
+    chk = weak_symmetry_check(example2)
+    assert chk.ok and chk.tol == 1e-9
+    assert chk.threshold == 1e-9 * (1.0 + 3.0)
+    assert chk.max_residual <= 1e-15
+    assert chk.max_residual == pytest.approx(brute_weak_symmetry(example2.entries)[1], abs=1e-15)
 
 
 def test_symmetric_implies_weakly_symmetric(example1):
-    assert is_weakly_symmetric(example1)
+    chk = weak_symmetry_check(example1)
+    assert chk.ok and chk.max_residual <= 1e-15
+    assert chk.threshold == 1e-9 * (1.0 + 5.0)
 
 
 def test_single_off_orbit_entry_is_not_weakly_symmetric():
     arr = np.zeros((3, 3, 3))
     arr[0, 1, 2] = 1.0
-    assert not is_weakly_symmetric(Tensor(3, 3, arr))
+    chk = weak_symmetry_check(Tensor(3, 3, arr))
+    # row 1, tail (2, 3): tail mean 1/2 against the orbit mean 1/6
+    assert not chk.ok
+    assert chk.max_residual == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert chk.threshold == 2e-9
 
 
-def test_weak_symmetry_check_records_sampling(example2):
-    chk = weak_symmetry_check(example2, trials=5, tol=1e-9, seed=123)
-    assert chk.ok and chk.trials == 5 and chk.seed == 123
-    assert 0.0 <= chk.max_residual <= chk.threshold
-    # same seed, same verdict and residual
-    again = weak_symmetry_check(example2, trials=5, tol=1e-9, seed=123)
-    assert again.max_residual == chk.max_residual
+def test_weak_symmetry_check_is_exact_and_deterministic(example2):
+    chk = weak_symmetry_check(example2, tol=1e-12)
+    assert chk.ok and chk.tol == 1e-12
+    assert not hasattr(chk, "trials") and not hasattr(chk, "seed")
+    assert weak_symmetry_check(example2, tol=1e-12) == chk
+    with pytest.raises(ValueError):
+        weak_symmetry_check(example2, tol=0.0)
+
+
+def weak_symmetry_panel():
+    """(kind, tensor) for orders 2-6 and dimensions 2-5: random, symmetric,
+    weakly but not fully symmetric, and the latter with one off-orbit entry
+    moved by 1e-6."""
+    rng = np.random.default_rng(20261018)
+    for m in range(2, 7):
+        for n in range(2, 6):
+            yield "random", random_tensor(rng, m, n)
+            S = random_symmetric_tensor(rng, m, n, low=-1.0)
+            yield "symmetric", S
+            if m == 2:
+                continue  # a weakly symmetric matrix is symmetric
+            # swapping two tail positions negates D, so D's tail
+            # symmetrization is zero and S + D stays weakly symmetric
+            B = rng.uniform(-1.0, 1.0, (n,) * m)
+            weak = S.entries + B - np.swapaxes(B, 1, 2)
+            yield "weak", Tensor(m, n, weak)
+            weak[(0, 1) + (0,) * (m - 2)] += 1e-6
+            yield "perturbed", Tensor(m, n, weak)
+
+
+def test_weak_symmetry_matches_brute_on_panel():
+    expected = {"random": False, "symmetric": True, "weak": True, "perturbed": False}
+    for kind, A in weak_symmetry_panel():
+        chk = weak_symmetry_check(A)
+        ok, residual = brute_weak_symmetry(A.entries)
+        label = f"{kind} m={A.order} n={A.dim}"
+        assert chk.ok == ok == expected[kind], label
+        assert chk.max_residual == pytest.approx(
+            residual, rel=1e-12, abs=1e-12 * (1.0 + A.max_abs_entry())
+        ), label
+        if kind == "weak":
+            assert not is_symmetric(A), label
+
+
+def test_weak_symmetry_in_small_blocks(monkeypatch):
+    panel = list(weak_symmetry_panel())
+    want = [weak_symmetry_check(A) for _, A in panel]
+    monkeypatch.setattr(tensor_mod, "_ORBIT_BLOCK", 5)
+    assert [weak_symmetry_check(A) for _, A in panel] == want
+
+
+def test_weak_symmetry_matches_sampled_cross_check():
+    for kind, A in weak_symmetry_panel():
+        if A.dim**A.order <= 256:
+            assert weak_symmetry_check(A).ok == sampled_weak_symmetry(A.entries)[0], kind
 
 
 def test_unit_sphere_sampling_scale_invariance():
