@@ -2,14 +2,13 @@
 
 Subcommands: info, sets, bounds, zeig, verify.  Tables print values at 4
 decimals; the structured (JSON) format carries the same values at full
-precision (17 significant digits).  Exit codes: 0 success or verified,
-1 verification failure, 2 input error.
+precision (the shortest decimal that reads back as the same double).
+Exit codes: 0 success or verified, 1 verification failure, 2 input error.
 """
 
 import argparse
 import functools
 import json
-import math
 import sys
 
 from . import __version__
@@ -44,36 +43,9 @@ _SVG_STYLES = {
 # ------------------------------------------------------------------ output
 
 
-def _json_scalar(v) -> str:
-    if v is None:
-        return "null"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite value {v} in structured output")
-        return format(v, ".17g")
-    return json.dumps(v)
-
-
-def render_json(obj, indent: int = 0) -> str:
-    """JSON with floats printed to 17 significant digits (lossless round-trip)."""
-    pad, pad_in = "  " * indent, "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        body = ",\n".join(
-            f"{pad_in}{json.dumps(str(k))}: {render_json(v, indent + 1)}" for k, v in obj.items()
-        )
-        return "{\n" + body + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        body = ",\n".join(f"{pad_in}{render_json(v, indent + 1)}" for v in obj)
-        return "[\n" + body + "\n" + pad + "]"
-    return _json_scalar(obj)
+def render_json(obj) -> str:
+    """JSON at 2-space indent; floats in Python's shortest round-trip form."""
+    return json.dumps(obj, indent=2, allow_nan=False)
 
 
 def _interval_list(iset: IntervalSet):

@@ -6,6 +6,12 @@ its real roots), and a shifted power iteration with random restarts for
 general small dimension.  The power iteration makes no completeness claim;
 every accepted pair is a genuine eigenpair up to the residual gate, which is
 all the inclusion checks need.
+
+Both tiers contract the tensor with a block of vectors at once through
+``tensor._apply_block``: the power step iterates a block of runs, and the
+candidate directions of either tier, the roots' lines or the runs' last
+iterates, pass the gate as one block, with lambda = x . A x^(m-1) and the
+residual ||A x^(m-1) - lambda x|| from the same contraction.
 """
 
 import logging
@@ -17,10 +23,14 @@ import numpy as np
 
 from .bounds import BoundReport
 from .localization import SET_NAMES, SetReport
-from .tensor import Tensor, apply, polyval
+from .tensor import Tensor, _apply_block, apply
 
 # a candidate must satisfy the eigen equation to this residual to be returned
 RESIDUAL_ACCEPT = 1e-8
+# accepted pairs merge when their eigenvalues are within DEDUPE_TOL and their
+# eigenvectors span lines at most ANGLE_TOL radians apart
+DEDUPE_TOL = 1e-6
+ANGLE_TOL = 1e-5
 
 # doubles the power iteration's contraction intermediates may hold (8 MiB);
 # a call with more runs than fit iterates them in chunks
@@ -52,8 +62,6 @@ class OracleConfig:
     tol: float = 1e-10
     shift: float | None = None  # None picks order * max|entry| + 1
     seed: int = 42
-    dedupe_tol: float = 1e-6  # eigenvalue clustering
-    angle_tol: float = 1e-5  # eigenvector clustering, up to sign
 
     def __post_init__(self):
         if self.starts < 1 or self.max_iter < 1 or self.tol <= 0:
@@ -66,9 +74,24 @@ def residual(A: Tensor, value: float, vector) -> float:
     return float(np.linalg.norm(apply(A, x) - value * x))
 
 
-def _make_pair(A: Tensor, x: np.ndarray, source: str) -> ZEigenPair:
-    lam = polyval(A, x)
-    return ZEigenPair(value=lam, vector=x, residual=residual(A, lam, x), source=source)
+def _gated_pairs(A: Tensor, X: np.ndarray, source: str) -> list[ZEigenPair]:
+    """Pairs at the unit rows of X that pass the residual gate, in row order.
+
+    For even order x and -x carry the same eigenvalue, so each row is first
+    signed to make its largest component positive: reruns and restarts then
+    land on one representative.  One block contraction Y = A x^(m-1) gives
+    both lambda = x . Y and the residual ||Y - lambda x||.
+    """
+    if A.order % 2 == 0:
+        big = np.take_along_axis(X, np.abs(X).argmax(axis=1)[:, None], axis=1)
+        X = np.where(big < 0, -X, X)
+    Y = _apply_block(A.entries, X)
+    lam = np.matmul(X[:, None, :], Y[:, :, None]).ravel()
+    res = _row_norms(Y - lam[:, None] * X).ravel()
+    return [
+        ZEigenPair(value=float(lam[k]), vector=X[k], residual=float(res[k]), source=source)
+        for k in np.flatnonzero(res <= RESIDUAL_ACCEPT)
+    ]
 
 
 def _axis_angle(x: np.ndarray, y: np.ndarray) -> float:
@@ -77,14 +100,14 @@ def _axis_angle(x: np.ndarray, y: np.ndarray) -> float:
     return math.acos(d)
 
 
-def _dedupe(pairs, value_tol: float, angle_tol: float):
+def _dedupe(pairs, angle_tol: float = ANGLE_TOL):
     """Cluster by (eigenvalue, eigenvector up to sign); keep the best residual
     per cluster and count merged members in the multiplicity."""
     kept: list[ZEigenPair] = []
     for p in sorted(pairs, key=lambda q: q.residual):
         merged = False
         for k, q in enumerate(kept):
-            if abs(p.value - q.value) <= value_tol and _axis_angle(p.vector, q.vector) <= angle_tol:
+            if abs(p.value - q.value) <= DEDUPE_TOL and _axis_angle(p.vector, q.vector) <= angle_tol:
                 kept[k] = replace(q, multiplicity=q.multiplicity + p.multiplicity)
                 merged = True
                 break
@@ -95,16 +118,6 @@ def _dedupe(pairs, value_tol: float, angle_tol: float):
 
 def _sorted_pairs(pairs):
     return sorted(pairs, key=lambda p: (p.value, tuple(p.vector)))
-
-
-def _canonical_sign(A: Tensor, x: np.ndarray) -> np.ndarray:
-    # for even order, x and -x carry the same eigenvalue; fix the sign of the
-    # largest component so reruns and restarts land on one representative
-    if A.order % 2 == 0:
-        k = int(np.argmax(np.abs(x)))
-        if x[k] < 0:
-            return -x
-    return x
 
 
 def _newton(coeffs: np.ndarray, t: float) -> float:
@@ -121,11 +134,11 @@ def _newton(coeffs: np.ndarray, t: float) -> float:
 
 def _circle_pairs(A: Tensor, lines) -> list[ZEigenPair]:
     """Pairs at both unit vectors d and -d of each line, through the residual gate."""
-    pairs = (_make_pair(A, _canonical_sign(A, s * d), "circle") for d in lines for s in (1.0, -1.0))
-    return [p for p in pairs if p.residual <= RESIDUAL_ACCEPT]
+    X = np.array([s * d for d in lines for s in (1.0, -1.0)]).reshape(-1, A.dim)
+    return _gated_pairs(A, X, "circle")
 
 
-def circle_solve(A: Tensor, dedupe_tol: float = 1e-6) -> list[ZEigenPair]:
+def circle_solve(A: Tensor) -> list[ZEigenPair]:
     """All Z-eigenpairs of a dimension-2 tensor from the roots of one polynomial.
 
     On x = (1, t) with y = A x^(m-1), x is an eigenvector exactly where
@@ -145,7 +158,7 @@ def circle_solve(A: Tensor, dedupe_tol: float = 1e-6) -> list[ZEigenPair]:
     g = np.append(y1[::-1], 0.0) - np.append(0.0, y2[::-1])  # descending powers of t
 
     if np.max(np.abs(g)) <= 1e-12 * (1.0 + A.max_abs_entry()):
-        kept = _dedupe(_circle_pairs(A, [np.array([1.0, 0.0])]), dedupe_tol, math.pi)
+        kept = _dedupe(_circle_pairs(A, [np.array([1.0, 0.0])]), angle_tol=math.pi)
         return _sorted_pairs(replace(p, multiplicity=1) for p in kept)
 
     lines = [np.array([0.0, 1.0])] if g[0] == 0.0 else []
@@ -158,9 +171,9 @@ def circle_solve(A: Tensor, dedupe_tol: float = 1e-6) -> list[ZEigenPair]:
         x /= np.linalg.norm(x)
         # one direction per line: the two halves of a double root would
         # otherwise merge into multiplicity 4
-        if all(_axis_angle(x, d) > 1e-5 for d in lines):
+        if all(_axis_angle(x, d) > ANGLE_TOL for d in lines):
             lines.append(x)
-    return _sorted_pairs(_dedupe(_circle_pairs(A, lines), dedupe_tol, 1e-5))
+    return _sorted_pairs(_dedupe(_circle_pairs(A, lines)))
 
 
 def _row_norms(X: np.ndarray) -> np.ndarray:
@@ -168,27 +181,22 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(X[:, None, :], X[:, :, None])).reshape(-1, 1)
 
 
-def _power_block(E2T, order, X, sign, alpha, tol, max_iter):
+def _power_block(entries, X, sign, alpha, tol, max_iter):
     """Iterate every row of the unit block X at once; return the last
     iterates and how each run stopped (an index into ``_OUTCOMES``).
 
-    A step contracts the whole block, ``X @ E2T`` and then ``order - 2``
-    batched reductions, and maps row x to normalize(sign A x^(m-1) + alpha x).
+    A step contracts the whole block with the tensor ``entries`` in one
+    ``_apply_block`` call and maps row x to normalize(sign A x^(m-1) + alpha x).
     A run leaves the block on a step <= tol, or on an image of norm < 1e-300,
     where it keeps its current iterate.  At these sizes a step costs mostly
     numpy call overhead, so the stop tests read one minimum per step, and
     the block is only shrunk on a step where some run stopped.
     """
-    S, n = X.shape
     out = np.empty_like(X)
-    how = np.full(S, _MAX_ITER)
-    run = np.arange(S)  # block row -> run
+    how = np.full(len(X), _MAX_ITER)
+    run = np.arange(len(X))  # block row -> run
     for _ in range(max_iter):
-        Y = X @ E2T
-        col = X[:, :, None]
-        for _ in range(order - 2):
-            Y = np.matmul(Y.reshape(S, -1, n), col)
-        Y = Y.reshape(S, n)
+        Y = _apply_block(entries, X)
         Y *= sign
         Y += alpha * X
         nrm = _row_norms(Y)
@@ -205,9 +213,8 @@ def _power_block(E2T, order, X, sign, alpha, tol, max_iter):
         if not step.item(step.argmin()) > tol:
             keep = _retire(out, how, run, step.ravel() <= tol, X, _CONVERGED)
             X, sign, run = X[keep], sign[keep], run[keep]
-        S = len(run)
-        if not S:
-            break
+            if not run.size:
+                break
     out[run] = X
     return out, how
 
@@ -232,7 +239,9 @@ def sshopm(A: Tensor, cfg: OracleConfig | None = None) -> list[ZEigenPair]:
 
     All ``2 * starts`` runs (start r // 2, shift sign + for even r) iterate
     as one block, in chunks that keep the contraction intermediates within
-    ``_BLOCK_DOUBLES`` doubles.  Each call logs, at debug level on the
+    ``_BLOCK_DOUBLES`` doubles.  A chunk's last iterates go through the
+    residual gate together: one more block contraction gives every run's
+    eigenvalue and residual.  Each call logs, at debug level on the
     ``zeigloc.oracle`` logger, how many runs converged, hit max_iter, stopped
     on a zero image and failed the residual gate, and the shift.
     """
@@ -246,28 +255,21 @@ def sshopm(A: Tensor, cfg: OracleConfig | None = None) -> list[ZEigenPair]:
 
     X = np.repeat(starts, 2, axis=0)
     sign = np.tile([[1.0], [-1.0]], (cfg.starts, 1))
-    E2T = A.entries.reshape(-1, A.dim).T
     # doubles of one run's intermediates: A x^(m-1) on the way down to length n
     chunk = max(1, _BLOCK_DOUBLES // sum(A.dim**k for k in range(1, A.order)))
-    blocks = [
-        _power_block(E2T, A.order, X[lo : lo + chunk], sign[lo : lo + chunk],
-                     alpha, cfg.tol, cfg.max_iter)
-        for lo in range(0, len(X), chunk)
-    ]
-    X = np.concatenate([x for x, _ in blocks])
-    how = np.concatenate([h for _, h in blocks])
-
-    candidates = []
-    for x in X:
-        p = _make_pair(A, _canonical_sign(A, x), "sshopm")
-        if p.residual <= RESIDUAL_ACCEPT:
-            candidates.append(p)
+    candidates, how = [], []
+    for lo in range(0, len(X), chunk):
+        last, stopped = _power_block(A.entries, X[lo : lo + chunk], sign[lo : lo + chunk],
+                                     alpha, cfg.tol, cfg.max_iter)
+        candidates += _gated_pairs(A, last, "sshopm")
+        how.append(stopped)
+    how = np.concatenate(how)
     counts = dict(zip(_OUTCOMES, np.bincount(how, minlength=len(_OUTCOMES)).tolist()))
     counts["rejected"] = len(X) - len(candidates)
     summary = ", ".join(f"{k} {v}" for k, v in counts.items())
     logger.debug("sshopm: %d runs, shift %g: %s", len(X), alpha, summary)
 
-    kept = _dedupe(candidates, cfg.dedupe_tol, cfg.angle_tol)
+    kept = _dedupe(candidates)
     kept = [replace(p, multiplicity=1) for p in kept]
     if not kept:
         warnings.warn(
@@ -282,7 +284,7 @@ def sshopm(A: Tensor, cfg: OracleConfig | None = None) -> list[ZEigenPair]:
 def solve(A: Tensor, cfg: OracleConfig | None = None) -> list[ZEigenPair]:
     """Default oracle: exact polynomial roots when n == 2, else sshopm."""
     if A.dim == 2:
-        return circle_solve(A, dedupe_tol=(cfg or OracleConfig()).dedupe_tol)
+        return circle_solve(A)
     return sshopm(A, cfg)
 
 

@@ -99,23 +99,29 @@ def _as_vector(A: Tensor, x) -> np.ndarray:
     return v
 
 
+def _apply_block(entries: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A x^(m-1) for every row x of the (S, n) block X, with A given by its
+    ``entries``.  The last index is contracted by one matrix product with
+    the entries as an (n^(m-1), n) matrix, and each further one by a batched
+    matrix product per row; an empty block gives an empty (0, n) result."""
+    S, n = X.shape
+    Y = X @ entries.reshape(-1, n).T
+    col = X[:, :, None]
+    for k in range(entries.ndim - 2, 0, -1):
+        Y = np.matmul(Y.reshape(S, n**k, n), col)
+    return Y.reshape(S, n)
+
+
 def apply(A: Tensor, x) -> np.ndarray:
     """Contract the last m-1 indices with x: component i is the sum of
     a[i, i2, ..., im] * x[i2] * ... * x[im] over all tail tuples."""
-    v = _as_vector(A, x)
-    y = A.entries
-    for _ in range(A.order - 1):
-        y = np.tensordot(y, v, axes=1)
-    return y
+    return _apply_block(A.entries, _as_vector(A, x)[None])[0]
 
 
 def polyval(A: Tensor, x) -> float:
-    """Value of the homogeneous degree-m polynomial attached to A at x."""
+    """Value of the homogeneous degree-m polynomial attached to A at x: x . A x^(m-1)."""
     v = _as_vector(A, x)
-    y = A.entries
-    for _ in range(A.order):
-        y = np.tensordot(y, v, axes=1)
-    return float(y)
+    return float(v @ apply(A, v))
 
 
 def gradient(A: Tensor, x) -> np.ndarray:
@@ -123,16 +129,12 @@ def gradient(A: Tensor, x) -> np.ndarray:
 
     Component i collects, for each of the m index positions, the contraction
     of the tensor over the other m-1 positions with the index at that
-    position held at i.
+    position held at i: A x^(m-1) of the tensor with its axes rotated to
+    put that position first.
     """
-    v = _as_vector(A, x)
-    g = np.zeros(A.dim)
-    for pos in range(A.order):
-        y = np.moveaxis(A.entries, pos, 0)
-        for _ in range(A.order - 1):
-            y = np.tensordot(y, v, axes=1)
-        g += y
-    return g
+    X = _as_vector(A, x)[None]
+    axes = list(range(A.order))
+    return sum(_apply_block(A.entries.transpose(axes[p:] + axes[:p]), X)[0] for p in axes)
 
 
 def is_nonnegative(A: Tensor) -> bool:

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 import zeigloc.localization as localization_mod
 from zeigloc.bounds import bound_report
@@ -230,3 +231,9 @@ def test_render_json_round_trips_17_digits():
     assert back["x"] == payload["x"]
     assert back["items"][0] == 1e-300 and back["items"][1] == 0.1
     assert back["flag"] is True and back["none"] is None
+
+
+def test_render_json_refuses_non_finite_floats():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            render_json({"pairs": [{"value": 1.0, "residual": bad}]})

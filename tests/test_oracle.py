@@ -119,6 +119,21 @@ def test_circle_solve_matches_interpolation_reference():
         assert got == pytest.approx(want, rel=1e-8, abs=1e-9), A
 
 
+def test_circle_solve_without_real_eigenpair_is_empty():
+    # the rotation by 90 degrees: g(t) = -(1 + t^2) has no real root, so the
+    # residual gate gets an empty block of candidate directions
+    assert circle_solve(Tensor(2, 2, [[0.0, -1.0], [1.0, 0.0]])) == []
+    # about one signed draw in ten of orders 2-6 has no real eigenpair either
+    rng = np.random.default_rng(7)
+    empty = 0
+    for m in [2, 3, 4, 5, 6] * 20:
+        A = random_tensor(rng, m, 2)
+        got = sorted(p.value for p in circle_solve(A))
+        empty += not got
+        assert got == pytest.approx(n2_eigenvalues(A.entries), rel=1e-8, abs=1e-9), A
+    assert empty > 0
+
+
 def test_circle_solve_preconditions(example1, example2):
     with pytest.raises(ValueError):
         circle_solve(example2)
@@ -234,6 +249,18 @@ def test_sshopm_zero_image_keeps_its_start(caplog):
     assert all(p.value == 0.0 and p.residual == 0.0 for p in pairs)
 
 
+def test_even_order_vectors_have_positive_largest_component():
+    # x and -x are one eigenpair for even order: the largest component of the
+    # reported vector is positive, whichever sign the run ended on
+    rng = np.random.default_rng(71)
+    for m, n in [(4, 3), (4, 5), (6, 3)]:
+        A = random_symmetric_tensor(rng, m, n, low=-1.0)
+        pairs = sshopm(A, OracleConfig(starts=6, seed=5))
+        assert pairs
+        for p in pairs:
+            assert p.vector[np.argmax(np.abs(p.vector))] > 0.0
+
+
 def test_sshopm_chunked_block_matches_unchunked(monkeypatch):
     rng = np.random.default_rng(211)
     panel = [random_symmetric_tensor(rng, 3, 4), random_tensor(rng, 4, 3), random_tensor(rng, 5, 3)]
@@ -242,9 +269,9 @@ def test_sshopm_chunked_block_matches_unchunked(monkeypatch):
     blocks = []
     block = oracle_mod._power_block
 
-    def counted(E2T, order, X, *args):
+    def counted(entries, X, *args):
         blocks.append(len(X))
-        return block(E2T, order, X, *args)
+        return block(entries, X, *args)
 
     monkeypatch.setattr(oracle_mod, "_power_block", counted)
     for A, want in zip(panel, whole):
@@ -292,6 +319,15 @@ def test_oracle_config_validation():
         OracleConfig(starts=0)
     with pytest.raises(ValueError):
         OracleConfig(tol=0.0)
+
+
+def test_clustering_tolerances_are_module_constants():
+    assert (oracle_mod.DEDUPE_TOL, oracle_mod.ANGLE_TOL) == (1e-6, 1e-5)
+    for name in ("dedupe_tol", "angle_tol"):
+        with pytest.raises(TypeError):
+            OracleConfig(**{name: 1e-3})
+    with pytest.raises(TypeError):
+        circle_solve(Tensor.zeros(3, 2), dedupe_tol=1e-3)
 
 
 # ------------------------------------------------------------ verification

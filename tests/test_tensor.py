@@ -7,6 +7,7 @@ import pytest
 import zeigloc.tensor as tensor_mod
 from oracles import (
     brute_apply,
+    brute_gradient,
     brute_polyval,
     brute_weak_symmetry,
     fd_gradient,
@@ -194,12 +195,37 @@ def test_apply_dimension_mismatch(example1):
         apply(example1, [np.nan, 0.0])
 
 
+# orders 2-6 by dimensions 2-5
+CONTRACTION_SHAPES = list(itertools.product(range(2, 7), range(2, 6)))
+
+
 def test_apply_matches_brute_force():
     rng = np.random.default_rng(11)
-    for m, n in [(3, 2), (3, 3), (4, 2), (4, 3)]:
+    for m, n in CONTRACTION_SHAPES:
         A = random_tensor(rng, m, n)
         x = rng.uniform(-1, 1, n)
         assert np.allclose(apply(A, x), brute_apply(A.entries, x), rtol=1e-12, atol=1e-12)
+
+
+def test_apply_block_matches_brute_force_row_by_row():
+    rng = np.random.default_rng(12)
+    for m, n in CONTRACTION_SHAPES:
+        A = random_tensor(rng, m, n)
+        X = rng.uniform(-1, 1, (3, n))
+        Y = tensor_mod._apply_block(A.entries, X)
+        assert Y.shape == (3, n)
+        for x, y in zip(X, Y):
+            assert np.allclose(y, brute_apply(A.entries, x), rtol=1e-12, atol=1e-12)
+        empty = tensor_mod._apply_block(A.entries, np.zeros((0, n)))
+        assert empty.shape == (0, n)
+
+
+def test_gradient_matches_brute_force():
+    rng = np.random.default_rng(14)
+    for m, n in CONTRACTION_SHAPES:
+        A = random_tensor(rng, m, n)
+        x = rng.uniform(-1, 1, n)
+        assert np.allclose(gradient(A, x), brute_gradient(A.entries, x), rtol=1e-12, atol=1e-12)
 
 
 def test_polyval_examples(example1):
