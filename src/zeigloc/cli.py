@@ -15,12 +15,12 @@ from . import __version__
 from .bounds import BOUND_NAMES, BoundReport, bound_report
 from .intervals import IntervalSet
 from .localization import SET_NAMES, build_sets, inclusion_chain_check, row_aggregates
-from .oracle import OracleConfig, circle_solve, solve, sshopm, verify_inclusion
+from .oracle import OracleConfig, solve, sshopm, verify_inclusion
 from .tensor import (
+    SYMMETRY_TOL,
     Tensor,
     TensorFormatError,
     is_nonnegative,
-    is_symmetric,
     load_tensor,
     weak_symmetry_check,
 )
@@ -67,7 +67,7 @@ def _info_section(A: Tensor, wsc) -> dict:
         "dim": A.dim,
         "entry_count": A.dim**A.order,
         "nonnegative": is_nonnegative(A),
-        "symmetric": is_symmetric(A),
+        "symmetric": wsc.orbit_spread <= SYMMETRY_TOL,
         "weakly_symmetric": {
             "verdict": wsc.ok,
             "tol": wsc.tol,
@@ -166,9 +166,10 @@ def _text_bounds(rep: BoundReport) -> str:
     return "\n".join(lines)
 
 
-def _text_eigen(pairs) -> str:
+def _text_eigen(pairs, power: bool) -> str:
+    # only the power method warns when it finds nothing
     if not pairs:
-        return "no Z-eigenpairs found (see warnings)"
+        return "no Z-eigenpairs found" + (" (see warnings)" if power else "")
     lines = [f"{'lambda':>10} {'residual':>10} {'mult':>5} {'source':<7} eigenvector"]
     for p in pairs:
         vec = "[" + ", ".join(_fmt(v) for v in p.vector) + "]"
@@ -265,9 +266,9 @@ def _oracle_cfg(args) -> OracleConfig:
 
 
 def _run_oracle(A, args):
-    if args.method == "circle" or (args.method == "auto" and A.dim == 2):
-        return circle_solve(A)
-    return sshopm(A, _oracle_cfg(args))
+    if args.method == "sshopm":
+        return sshopm(A, _oracle_cfg(args))
+    return solve(A, _oracle_cfg(args))
 
 
 def cmd_info(args) -> int:
@@ -311,7 +312,7 @@ def cmd_zeig(args) -> int:
     if args.format == "structured":
         print(render_json({"meta": _meta(args, "zeig"), "eigenpairs": _eigen_section(pairs)}))
     else:
-        print(_text_eigen(pairs))
+        print(_text_eigen(pairs, power=args.method == "sshopm" or A.dim != 2))
     return 0
 
 
@@ -383,7 +384,7 @@ def _add_common(sub, formats):
 
 
 def _add_oracle_opts(sub):
-    sub.add_argument("--method", choices=("auto", "circle", "sshopm"), default="auto")
+    sub.add_argument("--method", choices=("auto", "sshopm"), default="auto")
     sub.add_argument("--starts", type=int, default=50, help="random restarts for sshopm")
     sub.add_argument("--seed", type=int, default=42)
     sub.add_argument("--tol", type=float, default=1e-10, help="iterate-change stop for sshopm")

@@ -296,11 +296,12 @@ class VerificationRow:
     bound_ok: dict[str, bool] | None  # None when the bounds do not apply
 
     @property
+    def cells(self) -> dict[str, bool]:
+        return {**self.set_ok, **(self.bound_ok or {})}
+
+    @property
     def ok(self) -> bool:
-        cells = list(self.set_ok.values())
-        if self.bound_ok is not None:
-            cells += list(self.bound_ok.values())
-        return all(cells)
+        return all(self.cells.values())
 
 
 @dataclass(frozen=True)
@@ -313,16 +314,8 @@ class VerificationDocument:
         return all(row.ok for row in self.rows)
 
     def failing_cells(self):
-        out = []
-        for row in self.rows:
-            for name, good in row.set_ok.items():
-                if not good:
-                    out.append((row.pair.value, name))
-            if row.bound_ok:
-                for name, good in row.bound_ok.items():
-                    if not good:
-                        out.append((row.pair.value, name))
-        return out
+        return [(row.pair.value, name) for row in self.rows for name, good in row.cells.items()
+                if not good]
 
 
 def verify_inclusion(

@@ -84,7 +84,7 @@ class Tensor:
         return float(self.entries[tuple(i - 1 for i in idx)])
 
     def max_abs_entry(self) -> float:
-        return float(np.max(np.abs(self.entries)))
+        return float(max(self.entries.max(), -self.entries.min()))  # no |entries| copy
 
     def __repr__(self):
         return f"Tensor(order={self.order}, dim={self.dim})"
@@ -137,26 +137,21 @@ def gradient(A: Tensor, x) -> np.ndarray:
     return sum(_apply_block(A.entries.transpose(axes[p:] + axes[:p]), X)[0] for p in axes)
 
 
+# absolute orbit spread up to which `info` and `verify` call a tensor symmetric
+SYMMETRY_TOL = 1e-12
+
+
 def is_nonnegative(A: Tensor) -> bool:
     """True iff every entry is >= 0.  Strict sign test, no tolerance."""
     return bool(np.all(A.entries >= 0.0))
 
 
-def is_symmetric(A: Tensor, tol: float = 1e-12) -> bool:
-    """True iff entries are invariant under every permutation of the index tuple.
-
-    The spread (max - min) of each index orbit, keyed by the sorted index
-    tuple, is the largest |a[idx] - a[perm(idx)]|, so the verdict is exact.
-    """
+def is_symmetric(A: Tensor, tol: float = SYMMETRY_TOL) -> bool:
+    """True iff entries are invariant under every permutation of the index
+    tuple: the exact largest orbit spread of the weak-symmetry pass is <= tol."""
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    values = A.entries.ravel()
-    hi = np.full(values.size, -np.inf)
-    lo = np.full(values.size, np.inf)
-    for block, keys in _orbit_key_blocks(A.entries.shape):
-        np.maximum.at(hi, keys, values[block])
-        np.minimum.at(lo, keys, values[block])
-    return bool(np.max(hi - lo) <= tol)
+    return weak_symmetry_check(A).orbit_spread <= tol
 
 
 # flat indices per block of the orbit-key pass: bounds its index arrays at
@@ -176,12 +171,13 @@ def _orbit_key_blocks(shape):
 
 @dataclass(frozen=True)
 class WeakSymmetryCheck:
-    """Outcome of the exact weak-symmetry test."""
+    """Outcome of the exact weak-symmetry test, and the largest index-orbit spread."""
 
     ok: bool
     max_residual: float
     threshold: float
     tol: float
+    orbit_spread: float
 
 
 def weak_symmetry_check(A: Tensor, tol: float = 1e-9) -> WeakSymmetryCheck:
@@ -189,10 +185,11 @@ def weak_symmetry_check(A: Tensor, tol: float = 1e-9) -> WeakSymmetryCheck:
 
     Coefficient by coefficient the identity says: for every row i and tail
     tuple t, the mean of a[i, .] over the permutations of t equals the mean
-    of a over the permutations of (i, t).  The tail means come from one pass
-    over the entries keyed by (row, sorted tail).  The mean over the
-    permutations of a sorted m-tuple s is the average of the m tail means at
-    (s[p], s without s[p]), so it needs no second pass over the entries.
+    of a over the permutations of (i, t).  One pass over the entries keyed by
+    (row, sorted tail) gives every tail orbit's mean, max and min.  The orbit
+    of a sorted m-tuple s is the union over p of {s[p]} x (the orbit of s
+    without s[p]), so the m tail orbits at (s[p], s without s[p]) give its
+    mean and its exact spread (max - min) with no second pass.
     ``max_residual`` is the largest difference of the two means, and the
     verdict compares it against ``tol * (1 + max |entry|)``.
     """
@@ -203,31 +200,39 @@ def weak_symmetry_check(A: Tensor, tol: float = 1e-9) -> WeakSymmetryCheck:
     keys = np.concatenate([keys for _, keys in _orbit_key_blocks(tail_shape)])
     sorted_flat = np.flatnonzero(keys == np.arange(keys.size))
     # rank[f]: column of tail f's sorted tuple among the sorted tails (in
-    # lexicographic order).  means[i, r]: mean of a[i, .] over the orbit of
-    # sorted tail r, bincount(rank)[r] tails; a bincount per row builds no
-    # index array the size of the tensor
+    # lexicographic order).  tables[:, i, r]: mean, max and min of a[i, .]
+    # over the orbit of sorted tail r, counts[r] tails; a pass per row builds
+    # no index array the size of the tensor
     rank = np.searchsorted(sorted_flat, keys)
     tails = np.unravel_index(sorted_flat, tail_shape)
-    means = np.empty((n, sorted_flat.size))
+    counts = np.bincount(rank)
+    by_rank, starts = np.argsort(rank, kind="stable"), np.cumsum(counts) - counts
+    # means of entries scaled by a power of two: exact, and no sum of m! of them overflows
+    scale = 2.0 ** min(0, 1020 - math.frexp(A.max_abs_entry())[1] - math.factorial(m).bit_length())
+    tables = np.empty((3, n, sorted_flat.size))
     for i, row in enumerate(A.entries.reshape(n, -1)):
-        means[i] = np.bincount(rank, row, sorted_flat.size)
-    means /= np.bincount(rank)
+        tables[0, i] = np.bincount(rank, row * scale, sorted_flat.size)
+        grouped = row[by_rank]
+        tables[1:, i] = np.maximum.reduceat(grouped, starts), np.minimum.reduceat(grouped, starts)
+    tables[0] /= counts
+    tables = tables.reshape(3, -1)  # column i * orbits + r
 
-    worst = 0.0
+    worst = spread = 0.0
     step = max(1, _ORBIT_BLOCK // sorted_flat.size)
     for start in range(0, n, step):
         # every sorted m-tuple is s = (i, t) with i <= t[0]
         i, r = np.nonzero(np.arange(start, min(start + step, n))[:, None] <= tails[0])
         s = np.stack([i + start, *(t[r] for t in tails)])
-        tail_means = np.stack(
-            [
-                means[s[p], rank[np.ravel_multi_index(np.delete(s, p, axis=0), tail_shape)]]
-                for p in range(m)
-            ]
-        )
-        worst = max(worst, float(np.max(np.abs(tail_means - tail_means.mean(axis=0)))))
+        # (m, 3, tuples): the tables at (s[p], s without s[p])
+        cols = [s[p] * sorted_flat.size + rank[np.ravel_multi_index(np.delete(s, p, 0), tail_shape)]
+                for p in range(m)]
+        at = np.stack([tables.take(c, axis=1) for c in cols])
+        worst = max(worst, float(np.max(np.abs(at[:, 0] - at[:, 0].mean(axis=0)))))
+        with np.errstate(over="ignore"):  # a spread beyond the largest double is inf
+            spread = max(spread, float(np.max(at[:, 1].max(axis=0) - at[:, 2].min(axis=0))))
+    worst /= scale
     threshold = tol * (1.0 + A.max_abs_entry())
-    return WeakSymmetryCheck(ok=worst <= threshold, max_residual=worst, threshold=threshold, tol=tol)
+    return WeakSymmetryCheck(worst <= threshold, worst, threshold, tol, spread)
 
 
 # --------------------------------------------------------------------------

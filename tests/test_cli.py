@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
+import zeigloc.bounds as bounds_mod
+import zeigloc.cli as cli_mod
 import zeigloc.localization as localization_mod
+import zeigloc.tensor as tensor_mod
 from zeigloc.bounds import bound_report
 from zeigloc.cli import main, render_json
 from zeigloc.localization import RowAggregates, build_sets
@@ -145,6 +148,39 @@ def test_zeig_structured_method_sshopm(capsys, example1_path):
         assert p["source"] == "sshopm"
         assert p["residual"] <= 1e-8
         assert abs(np.linalg.norm(p["vector"]) - 1.0) <= 1e-12
+
+
+def test_zeig_text_without_real_pairs_points_at_no_warning(tmp_path, capsys):
+    # x1^2 - x2^2 has no real Z-eigenpair: circle_solve proves it, and warns of nothing
+    path = tmp_path / "none.txt"
+    path.write_text("tensor m=2 n=2\n1 2 -1\n2 1 1\n")
+    code, out, err = run(capsys, "zeig", str(path))
+    assert (code, out, err) == (0, "no Z-eigenpairs found\n", "")
+
+
+def test_method_circle_is_a_usage_error(capsys, example1_path):
+    for cmd in ("zeig", "verify"):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, example1_path, "--method", "circle"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'circle'" in capsys.readouterr().err
+
+
+def test_info_and_verify_make_one_symmetry_pass(capsys, monkeypatch, example1_path, example2_path):
+    calls = []
+
+    def counted(A, *args, **kwargs):
+        calls.append(A)
+        return weak_symmetry_check(A, *args, **kwargs)
+
+    for module in (cli_mod, bounds_mod, tensor_mod):
+        monkeypatch.setattr(module, "weak_symmetry_check", counted)
+    for path in (example1_path, example2_path):
+        for argv in (["info"], ["info", "--format", "structured"], ["verify", "--starts", "5"],
+                     ["verify", "--starts", "5", "--format", "structured"]):
+            calls.clear()
+            assert run(capsys, *argv[:1], path, *argv[1:])[0] == 0
+            assert len(calls) == 1, argv
 
 
 def test_verify_example1_exit0(capsys, example1_path):

@@ -321,6 +321,48 @@ def test_is_symmetric_matches_all_permutations_max():
             assert is_symmetric(A, tol) == (spread <= tol)
 
 
+def all_permutations_spread(arr) -> float:
+    return max(
+        float(np.max(np.abs(arr - np.transpose(arr, p))))
+        for p in itertools.permutations(range(arr.ndim))
+    )
+
+
+def test_is_symmetric_sees_a_cross_row_spread():
+    # a[1,2,2] moved by delta: every row stays symmetric in its tail, so only
+    # the orbit of (1,2,2) across rows 1 and 2 shows the spread
+    rng = np.random.default_rng(8)
+    for delta in (3e-13, 1e-12, 5e-12, 1e-6):
+        arr = random_symmetric_tensor(rng, 3, 3, low=-1.0).entries.copy()
+        for idx in set(itertools.permutations((0, 1, 1))):
+            arr[idx] = 0.0
+        arr[0, 1, 1] = delta
+        assert np.array_equal(arr, np.swapaxes(arr, 1, 2))
+        A = Tensor(3, 3, arr)
+        assert weak_symmetry_check(A).orbit_spread == delta
+        for tol in (delta, float(np.nextafter(delta, 0.0))):
+            assert is_symmetric(A, tol) == (delta <= tol)
+
+
+def test_orbit_spread_matches_all_permutations_on_panel():
+    for kind, A in weak_symmetry_panel():
+        spread = all_permutations_spread(A.entries)
+        assert weak_symmetry_check(A).orbit_spread == spread, (kind, A)
+        for tol in (0.0, 1e-12, spread, float(np.nextafter(spread, 0.0))):
+            assert is_symmetric(A, tol) == (spread <= tol), (kind, A)
+
+
+def test_is_symmetric_and_the_weak_check_take_entries_near_the_largest_double():
+    # sums of orbit entries would overflow without the check's power-of-two scale
+    big = np.full((2,) * 4, 1.5e308)
+    assert is_symmetric(Tensor(4, 2, big), tol=0.0)
+    assert weak_symmetry_check(Tensor(4, 2, big)).max_residual == 0.0
+    big[0, 0, 0, 1] = -1.5e308
+    chk = weak_symmetry_check(Tensor(4, 2, big))
+    assert chk.orbit_spread == np.inf and not is_symmetric(Tensor(4, 2, big))
+    assert not chk.ok and np.isfinite(chk.max_residual)
+
+
 def test_weak_symmetry_example2(example2):
     chk = weak_symmetry_check(example2)
     assert chk.ok and chk.tol == 1e-9
