@@ -15,7 +15,7 @@ from . import __version__
 from .bounds import BOUND_NAMES, BoundReport, bound_report
 from .intervals import IntervalSet
 from .localization import SET_NAMES, build_sets, inclusion_chain_check, row_aggregates
-from .oracle import OracleConfig, solve, sshopm, verify_inclusion
+from .oracle import OracleConfig, solve, verify_inclusion
 from .tensor import (
     SYMMETRY_TOL,
     Tensor,
@@ -265,12 +265,6 @@ def _oracle_cfg(args) -> OracleConfig:
     )
 
 
-def _run_oracle(A, args):
-    if args.method == "sshopm":
-        return sshopm(A, _oracle_cfg(args))
-    return solve(A, _oracle_cfg(args))
-
-
 def cmd_info(args) -> int:
     A = load_tensor(args.path)
     section = _info_section(A, weak_symmetry_check(A))
@@ -287,7 +281,7 @@ def cmd_sets(args) -> int:
     if args.format == "plot-data":
         sys.stdout.write(render_plot_data(reports))
     elif args.format == "svg":
-        pairs = solve(A, OracleConfig(seed=args.seed, starts=args.starts, tol=args.tol))
+        pairs = solve(A)
         sys.stdout.write(render_svg(reports, [p.value for p in pairs]))
     elif args.format == "structured":
         print(render_json({"meta": _meta(args, "sets"), "sets": _sets_section(reports)}))
@@ -308,11 +302,11 @@ def cmd_bounds(args) -> int:
 
 def cmd_zeig(args) -> int:
     A = load_tensor(args.path)
-    pairs = _run_oracle(A, args)
+    pairs = solve(A, _oracle_cfg(args))
     if args.format == "structured":
         print(render_json({"meta": _meta(args, "zeig"), "eigenpairs": _eigen_section(pairs)}))
     else:
-        print(_text_eigen(pairs, power=args.method == "sshopm" or A.dim != 2))
+        print(_text_eigen(pairs, power=A.dim != 2))
     return 0
 
 
@@ -333,9 +327,9 @@ def cmd_verify(args) -> int:
     reports = build_sets(A, agg)
     bounds = bound_report(A, agg)
     chain = inclusion_chain_check(A, reports=reports)
-    pairs = _run_oracle(A, args)
+    pairs = solve(A, _oracle_cfg(args))
     checked = _corrupted(reports) if args.corrupt_sets else reports
-    doc = verify_inclusion(A, pairs, checked, bounds, slack=args.slack)
+    doc = verify_inclusion(pairs, checked, bounds)
     if args.format == "structured":
         document = {
             "meta": _meta(args, "verify"),
@@ -384,7 +378,6 @@ def _add_common(sub, formats):
 
 
 def _add_oracle_opts(sub):
-    sub.add_argument("--method", choices=("auto", "sshopm"), default="auto")
     sub.add_argument("--starts", type=int, default=50, help="random restarts for sshopm")
     sub.add_argument("--seed", type=int, default=42)
     sub.add_argument("--tol", type=float, default=1e-10, help="iterate-change stop for sshopm")
@@ -407,9 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("sets", help="localization sets K, L, Psi, Omega")
     _add_common(sub, ("text", "structured", "plot-data", "svg"))
-    sub.add_argument("--seed", type=int, default=42)
-    sub.add_argument("--starts", type=int, default=50)
-    sub.add_argument("--tol", type=float, default=1e-10)
     sub.set_defaults(func=cmd_sets)
 
     sub = subs.add_parser("bounds", help="spectral-radius upper bounds")
@@ -424,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("verify", help="check eigenvalues against sets and bounds")
     _add_common(sub, ("text", "structured"))
     _add_oracle_opts(sub)
-    sub.add_argument("--slack", type=float, default=None, help="override containment slack")
     sub.add_argument("--corrupt-sets", action="store_true", help=argparse.SUPPRESS)
     sub.set_defaults(func=cmd_verify)
     return parser

@@ -60,7 +60,6 @@ class OracleConfig:
     starts: int = 50
     max_iter: int = 1000
     tol: float = 1e-10
-    shift: float | None = None  # None picks order * max|entry| + 1
     seed: int = 42
 
     def __post_init__(self):
@@ -230,12 +229,12 @@ def sshopm(A: Tensor, cfg: OracleConfig | None = None) -> list[ZEigenPair]:
     """Shifted power iteration with random restarts.
 
     Each restart runs with both shift signs: x <- +-normalize(A x^(m-1) + a x)
-    with the sign matching the shift, magnitude ``order * max|entry| + 1``
-    unless overridden.  The positive shift walks toward large eigenvalues of
-    the restricted polynomial, the negative one toward small ones.  Iterates
-    stop on ||x_k+1 - x_k|| <= tol, on an image of norm < 1e-300 (keeping the
-    current iterate) or at max_iter; only candidates passing the residual
-    gate are returned, deduplicated up to eigenvector sign.
+    with the sign matching the shift, magnitude ``order * max|entry| + 1``.
+    The positive shift walks toward large eigenvalues of the restricted
+    polynomial, the negative one toward small ones.  Iterates stop on
+    ||x_k+1 - x_k|| <= tol, on an image of norm < 1e-300 (keeping the current
+    iterate) or at max_iter; only candidates passing the residual gate are
+    returned, deduplicated up to eigenvector sign.
 
     All ``2 * starts`` runs (start r // 2, shift sign + for even r) iterate
     as one block, in chunks that keep the contraction intermediates within
@@ -246,8 +245,7 @@ def sshopm(A: Tensor, cfg: OracleConfig | None = None) -> list[ZEigenPair]:
     on a zero image and failed the residual gate, and the shift.
     """
     cfg = cfg or OracleConfig()
-    alpha = cfg.shift if cfg.shift is not None else A.order * A.max_abs_entry() + 1.0
-    alpha = abs(float(alpha))
+    alpha = A.order * A.max_abs_entry() + 1.0
     rng = np.random.default_rng(cfg.seed)
     starts = rng.standard_normal((cfg.starts, A.dim))
     nrm = _row_norms(starts)
@@ -319,17 +317,13 @@ class VerificationDocument:
 
 
 def verify_inclusion(
-    A: Tensor,
-    pairs,
-    reports: dict[str, SetReport],
-    bounds: BoundReport,
-    slack: float | None = None,
+    pairs, reports: dict[str, SetReport], bounds: BoundReport
 ) -> VerificationDocument:
     """Check every eigenpair against every set, and against every bound when
     the tensor is nonnegative and passed the weak-symmetry test.
 
-    The per-pair slack defaults to 1e-9 + 10 * residual so that solver noise
-    cannot produce spurious boundary failures.
+    The per-pair slack is 1e-9 + 10 * residual so that solver noise cannot
+    produce spurious boundary failures.
     """
     for p in pairs:
         if p.residual > RESIDUAL_ACCEPT:
@@ -340,7 +334,7 @@ def verify_inclusion(
     check_bounds = bounds.applicable
     rows = []
     for p in pairs:
-        s = slack if slack is not None else 1e-9 + 10.0 * p.residual
+        s = 1e-9 + 10.0 * p.residual
         t = abs(p.value)
         set_ok = {name: reports[name].set.contains(t, s) for name in SET_NAMES}
         bound_ok = None

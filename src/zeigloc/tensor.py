@@ -20,6 +20,12 @@ MAX_DENSE_ENTRIES = 10**8
 _HEADER_RE = re.compile(r"^tensor\s+m=(\d+)\s+n=(\d+)(\s+symmetric)?\s*$")
 
 
+def _too_large(order: int, dim: int) -> bool:
+    """dim**order > MAX_DENSE_ENTRIES for dim >= 2, without the power at a
+    huge order: from the cap's bit length on, 2**order alone exceeds it."""
+    return order >= MAX_DENSE_ENTRIES.bit_length() or dim**order > MAX_DENSE_ENTRIES
+
+
 class TensorFormatError(ValueError):
     """Malformed tensor text input.  ``lines`` holds the offending 1-based line numbers."""
 
@@ -52,7 +58,7 @@ class Tensor:
     def __init__(self, order: int, dim: int, entries):
         if order < 2 or dim < 2:
             raise ValueError(f"tensor needs order >= 2 and dim >= 2, got m={order}, n={dim}")
-        if dim**order > MAX_DENSE_ENTRIES:
+        if _too_large(order, dim):
             raise ValueError(
                 f"dense tensor too large: {dim}**{order} entries exceeds {MAX_DENSE_ENTRIES}"
             )
@@ -139,6 +145,8 @@ def gradient(A: Tensor, x) -> np.ndarray:
 
 # absolute orbit spread up to which `info` and `verify` call a tensor symmetric
 SYMMETRY_TOL = 1e-12
+# relative tolerance of the weak-symmetry verdict: max residual <= tol * (1 + max|entry|)
+WEAK_SYMMETRY_TOL = 1e-9
 
 
 def is_nonnegative(A: Tensor) -> bool:
@@ -180,7 +188,7 @@ class WeakSymmetryCheck:
     orbit_spread: float
 
 
-def weak_symmetry_check(A: Tensor, tol: float = 1e-9) -> WeakSymmetryCheck:
+def weak_symmetry_check(A: Tensor) -> WeakSymmetryCheck:
     """Exact test of the gradient identity grad(A x^m) = m * A x^(m-1).
 
     Coefficient by coefficient the identity says: for every row i and tail
@@ -191,10 +199,8 @@ def weak_symmetry_check(A: Tensor, tol: float = 1e-9) -> WeakSymmetryCheck:
     without s[p]), so the m tail orbits at (s[p], s without s[p]) give its
     mean and its exact spread (max - min) with no second pass.
     ``max_residual`` is the largest difference of the two means, and the
-    verdict compares it against ``tol * (1 + max |entry|)``.
+    verdict compares it against ``WEAK_SYMMETRY_TOL * (1 + max |entry|)``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
     m, n = A.order, A.dim
     tail_shape = (n,) * (m - 1)
     keys = np.concatenate([keys for _, keys in _orbit_key_blocks(tail_shape)])
@@ -231,8 +237,8 @@ def weak_symmetry_check(A: Tensor, tol: float = 1e-9) -> WeakSymmetryCheck:
         with np.errstate(over="ignore"):  # a spread beyond the largest double is inf
             spread = max(spread, float(np.max(at[:, 1].max(axis=0) - at[:, 2].min(axis=0))))
     worst /= scale
-    threshold = tol * (1.0 + A.max_abs_entry())
-    return WeakSymmetryCheck(worst <= threshold, worst, threshold, tol, spread)
+    threshold = WEAK_SYMMETRY_TOL * (1.0 + A.max_abs_entry())
+    return WeakSymmetryCheck(worst <= threshold, worst, threshold, WEAK_SYMMETRY_TOL, spread)
 
 
 # --------------------------------------------------------------------------
@@ -250,10 +256,6 @@ def weak_symmetry_check(A: Tensor, tol: float = 1e-9) -> WeakSymmetryCheck:
 # raw lines per parser block: one block's token strings are the only Python
 # objects the parser holds per record
 _PARSE_BLOCK = 8192
-# a symmetric-flag conflict names the first entry of
-# set(itertools.permutations(record)) for orbits up to this size, which covers
-# every order up to 8; a larger orbit names the record's own index tuple
-_NAMED_ORBIT_MAX = math.factorial(8)
 
 
 class _IndexTable(dict):
@@ -282,7 +284,7 @@ def _read_header(line: str, lineno: int) -> tuple[int, int, bool]:
             f"tensor needs order >= 2 and dim >= 2, got m={order}, n={dim}",
             lines=(lineno,),
         )
-    if dim**order > MAX_DENSE_ENTRIES:
+    if _too_large(order, dim):
         raise TensorFormatError(
             f"dense tensor too large: {dim}**{order} > {MAX_DENSE_ENTRIES}",
             lines=(lineno,),
@@ -290,12 +292,11 @@ def _read_header(line: str, lineno: int) -> tuple[int, int, bool]:
     return order, dim, match.group(3) is not None
 
 
-def _parse_record(raw: str, lineno: int, order: int, dim: int):
-    """One body line to (1-based index tuple, value), None if it is blank;
-    raises the line's TensorFormatError."""
+def _check_record(raw: str, lineno: int, order: int, dim: int) -> None:
+    """Raise the TensorFormatError of one body line, if it has one."""
     line = raw.split("#", 1)[0].strip()
     if not line:
-        return None
+        return
     tokens = line.split()
     if len(tokens) != order + 1:
         raise TensorFormatError(
@@ -315,7 +316,6 @@ def _parse_record(raw: str, lineno: int, order: int, dim: int):
         raise TensorFormatError(f"bad value {tokens[-1]!r}", lines=(lineno,)) from None
     if not math.isfinite(value):
         raise TensorFormatError(f"non-finite value {tokens[-1]!r}", lines=(lineno,))
-    return idx, value
 
 
 def _parse_block(lines: list[str], order: int, index_of: _IndexTable):
@@ -340,30 +340,6 @@ def _parse_block(lines: list[str], order: int, index_of: _IndexTable):
     return rows, idx.reshape(-1, order), values
 
 
-def _distinct_permutations(t: tuple):
-    """The distinct permutations of t, in the order itertools.permutations(t)
-    first yields them: a set built from either iterates in the same order."""
-    if not t:
-        yield ()
-    for v in dict.fromkeys(t):
-        k = t.index(v)
-        for rest in _distinct_permutations(t[:k] + t[k + 1 :]):
-            yield (v, *rest)
-
-
-def _conflict(first_value, value, idx, symmetric, lines) -> TensorFormatError:
-    if symmetric:
-        repeats = math.prod(math.factorial(idx.count(i)) for i in set(idx))
-        orbit_size = math.factorial(len(idx)) // repeats
-        if orbit_size <= _NAMED_ORBIT_MAX:
-            idx = next(iter(set(_distinct_permutations(idx))))
-    return TensorFormatError(
-        f"conflicting values {first_value!r} and {value!r} "
-        f"for entry {' '.join(str(i) for i in idx)}",
-        lines=lines,
-    )
-
-
 def parse_tensor(source) -> Tensor:
     """Parse the tensor text format from a string or a readable file object.
 
@@ -372,7 +348,8 @@ def parse_tensor(source) -> Tensor:
     names its first bad line.  Records are grouped by flat index (by orbit key
     with the ``symmetric`` flag) with a stable sort: the first record of a
     group gives the entry, and a later one more than 1e-12 away from it is a
-    conflict.  Parse errors win over conflicts.
+    conflict, named by its record's index tuple (sorted with the
+    ``symmetric`` flag).  Parse errors win over conflicts.
     """
     text = source.read() if hasattr(source, "read") else source
     lines = text.splitlines()
@@ -392,7 +369,7 @@ def parse_tensor(source) -> Tensor:
         parsed = _parse_block(block, order, index_of)
         if parsed is None:
             for k, raw in enumerate(block):
-                _parse_record(raw, start + k + 1, order, dim)
+                _check_record(raw, start + k + 1, order, dim)
             raise AssertionError("a block failed its checks but none of its lines did")
         rows, idx, vals = parsed
         idx -= 1
@@ -412,9 +389,12 @@ def parse_tensor(source) -> Tensor:
         conflict = np.abs(values - values[group_first]) > 1e-12
     if np.any(conflict):
         k = np.flatnonzero(conflict)[np.argmin(linenos[conflict])]
-        g, lineno = group_first[k], int(linenos[k])
-        idx, value = _parse_record(lines[lineno - 1], lineno, order, dim)
-        raise _conflict(float(values[g]), value, idx, symmetric, (int(linenos[g]), lineno))
+        g = group_first[k]
+        idx = " ".join(str(i + 1) for i in np.unravel_index(keys[k], shape))
+        raise TensorFormatError(
+            f"conflicting values {float(values[g])!r} and {float(values[k])!r} for entry {idx}",
+            lines=(int(linenos[g]), int(linenos[k])),
+        )
 
     arr = np.zeros(dim**order)
     arr[keys[first]] = values[first]

@@ -405,9 +405,10 @@ def scalar_parse_tensor(text: str) -> Tensor:
             if pos in seen:
                 old_value, old_line = seen[pos]
                 if abs(old_value - value) > 1e-12:
+                    named = sorted(idx) if symmetric else pos
                     raise TensorFormatError(
                         f"conflicting values {old_value!r} and {value!r} "
-                        f"for entry {' '.join(str(i) for i in pos)}",
+                        f"for entry {' '.join(str(i) for i in named)}",
                         lines=(old_line, lineno),
                     )
             else:

@@ -10,6 +10,7 @@ import zeigloc.tensor as tensor_mod
 from zeigloc.bounds import bound_report
 from zeigloc.cli import main, render_json
 from zeigloc.localization import RowAggregates, build_sets
+from zeigloc.oracle import OracleConfig, sshopm
 from zeigloc.tensor import weak_symmetry_check
 
 
@@ -135,15 +136,13 @@ def test_zeig_text_example1(capsys, example1_path):
     assert "circle" in out
 
 
-def test_zeig_structured_method_sshopm(capsys, example1_path):
-    code, out, _ = run(
-        capsys, "zeig", example1_path, "--format", "structured", "--method", "sshopm",
-        "--starts", "30",
-    )
+def test_zeig_structured_method_sshopm(capsys, example2_path, example2):
+    # n = 3: the power method runs
+    code, out, _ = run(capsys, "zeig", example2_path, "--format", "structured", "--starts", "30")
     assert code == 0
     doc = json.loads(out)
     values = [p["value"] for p in doc["eigenpairs"]]
-    assert any(abs(v - 5.0) < 5e-4 for v in values)
+    assert values and values == [p.value for p in sshopm(example2, OracleConfig(starts=30))]
     for p in doc["eigenpairs"]:
         assert p["source"] == "sshopm"
         assert p["residual"] <= 1e-8
@@ -163,7 +162,26 @@ def test_method_circle_is_a_usage_error(capsys, example1_path):
         with pytest.raises(SystemExit) as exc:
             main([cmd, example1_path, "--method", "circle"])
         assert exc.value.code == 2
-        assert "invalid choice: 'circle'" in capsys.readouterr().err
+        assert "unrecognized arguments: --method circle" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeig", "--method", "sshopm"],
+        ["verify", "--method", "auto"],
+        ["verify", "--slack", "1"],
+        ["sets", "--seed", "1"],
+        ["sets", "--starts", "5"],
+        ["sets", "--tol", "1e-9"],
+    ],
+    ids=" ".join,
+)
+def test_removed_settings_are_usage_errors(capsys, example1_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], example1_path, *argv[1:]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
 def test_info_and_verify_make_one_symmetry_pass(capsys, monkeypatch, example1_path, example2_path):

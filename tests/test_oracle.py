@@ -186,11 +186,6 @@ def test_sshopm_warns_when_nothing_converges(example2):
     assert pairs == []
 
 
-def test_sshopm_honors_explicit_shift(example1):
-    pairs = sshopm(example1, OracleConfig(starts=20, seed=42, shift=30.0))
-    assert any(abs(p.value - 5.0) <= 1e-6 for p in pairs)
-
-
 def test_sign_symmetry_of_returned_pairs(example1, example2):
     # even order: (value, -x) solves the same equation; odd order: (-value, -x)
     for A in (example1, example2):
@@ -236,16 +231,18 @@ def test_sshopm_max_iter_one_counts_every_run(caplog, example2):
     assert "converged 0, max_iter 6, zero_image 0, rejected 6" in str(warned[0].message)
 
 
-def test_sshopm_zero_image_keeps_its_start(caplog):
+def test_sshopm_zero_image_keeps_its_start():
     # shift 0 on the zero tensor: every image vanishes before the first step
-    caplog.set_level(logging.DEBUG, logger="zeigloc.oracle")
-    with np.errstate(all="raise"):
-        pairs = sshopm(Tensor.zeros(3, 3), OracleConfig(starts=4, seed=1, shift=0.0))
-    assert _outcome_counts(caplog)["zero_image"] == 8
-    starts = np.random.default_rng(1).standard_normal((4, 3))
+    A = Tensor.zeros(3, 3)
+    starts = np.random.default_rng(1).standard_normal((8, 3))
     starts /= np.linalg.norm(starts, axis=1, keepdims=True)
-    got = np.array(sorted(tuple(p.vector) for p in pairs))
-    assert np.abs(got - np.array(sorted(tuple(x) for x in starts))).max() <= 1e-15
+    sign = np.tile([[1.0], [-1.0]], (4, 1))
+    with np.errstate(all="raise"):
+        last, how = oracle_mod._power_block(A.entries, starts, sign, 0.0, 1e-10, 1000)
+    assert how.tolist() == [oracle_mod._ZERO_IMAGE] * 8
+    assert np.array_equal(last, starts)
+    pairs = oracle_mod._gated_pairs(A, last, "sshopm")
+    assert np.array_equal(np.array([p.vector for p in pairs]), starts)
     assert all(p.value == 0.0 and p.residual == 0.0 for p in pairs)
 
 
@@ -294,17 +291,17 @@ def test_sshopm_matches_scalar_reference():
         (3, 3, True, OracleConfig(starts=4, seed=1)),
         (3, 4, False, OracleConfig(starts=3, seed=2)),
         (4, 3, True, OracleConfig(starts=3, seed=3, tol=1e-13)),
-        (4, 4, False, OracleConfig(starts=2, seed=4, shift=20.0)),
+        (4, 4, False, OracleConfig(starts=2, seed=4)),
         (5, 3, True, OracleConfig(starts=1, seed=5)),
         (5, 3, False, OracleConfig(starts=3, seed=6, max_iter=1)),
-        (6, 3, True, OracleConfig(starts=2, seed=7, shift=7.5)),
+        (6, 3, True, OracleConfig(starts=2, seed=7)),
         (6, 3, False, OracleConfig(starts=1, seed=8, tol=1e-13)),
         (3, 8, True, OracleConfig(starts=2, seed=9)),
         (3, 6, False, OracleConfig(starts=2, seed=10, max_iter=1)),
     ]
     for m, n, symmetric, cfg in panel:
         A = random_symmetric_tensor(rng, m, n) if symmetric else random_tensor(rng, m, n)
-        want = scalar_sshopm(A, cfg.starts, cfg.max_iter, cfg.tol, cfg.shift, cfg.seed)
+        want = scalar_sshopm(A, cfg.starts, cfg.max_iter, cfg.tol, seed=cfg.seed)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # max_iter=1 keeps no pair
             got = sshopm(A, cfg)
@@ -330,6 +327,12 @@ def test_clustering_tolerances_are_module_constants():
         circle_solve(Tensor.zeros(3, 2), dedupe_tol=1e-3)
 
 
+def test_power_shift_is_not_a_setting():
+    # sshopm always shifts by order * max|entry| + 1, which secures its convergence
+    with pytest.raises(TypeError):
+        OracleConfig(shift=30.0)
+
+
 # ------------------------------------------------------------ verification
 
 
@@ -337,7 +340,7 @@ def test_verify_inclusion_example1(example1):
     reports = build_sets(example1)
     bounds = bound_report(example1)
     pairs = circle_solve(example1)
-    doc = verify_inclusion(example1, pairs, reports, bounds)
+    doc = verify_inclusion(pairs, reports, bounds)
     assert doc.ok and doc.bounds_checked
     assert doc.failing_cells() == []
     for row in doc.rows:
@@ -350,7 +353,7 @@ def test_verify_inclusion_boundary_eigenvalue_within_slack(example1):
     reports = build_sets(example1)
     bounds = bound_report(example1)
     pairs = [p for p in circle_solve(example1) if abs(p.value - 5.0) < 1e-6]
-    doc = verify_inclusion(example1, pairs, reports, bounds)
+    doc = verify_inclusion(pairs, reports, bounds)
     assert doc.ok
 
 
@@ -363,7 +366,7 @@ def test_verify_inclusion_detects_violations(example1):
         name: SetReport(name, IntervalSet.closed(0.0, 0.1), rep.per_index)
         for name, rep in reports.items()
     }
-    doc = verify_inclusion(example1, circle_solve(example1), shrunk, bound_report(example1))
+    doc = verify_inclusion(circle_solve(example1), shrunk, bound_report(example1))
     assert not doc.ok
     assert ("K" in {cell for _, cell in doc.failing_cells()})
 
@@ -371,7 +374,7 @@ def test_verify_inclusion_detects_violations(example1):
 def test_verify_inclusion_skips_bounds_for_signed_tensor():
     rng = np.random.default_rng(89)
     A = random_tensor(rng, 4, 2, low=-1.0)
-    doc = verify_inclusion(A, circle_solve(A), build_sets(A), bound_report(A))
+    doc = verify_inclusion(circle_solve(A), build_sets(A), bound_report(A))
     assert not doc.bounds_checked
     assert all(row.bound_ok is None for row in doc.rows)
     assert doc.ok  # the four sets hold for every real tensor
@@ -380,7 +383,7 @@ def test_verify_inclusion_skips_bounds_for_signed_tensor():
 def test_verify_inclusion_rejects_unconverged_pairs(example1):
     bad = ZEigenPair(value=1.0, vector=np.array([1.0, 0.0]), residual=1e-3, source="fake")
     with pytest.raises(ValueError, match="residual"):
-        verify_inclusion(example1, [bad], build_sets(example1), bound_report(example1))
+        verify_inclusion([bad], build_sets(example1), bound_report(example1))
 
 
 def test_random_symmetric_eigenpairs_live_in_every_set():
@@ -390,5 +393,5 @@ def test_random_symmetric_eigenpairs_live_in_every_set():
         reports = build_sets(A)
         bounds = bound_report(A)
         pairs = sshopm(A, OracleConfig(starts=5, seed=23))
-        doc = verify_inclusion(A, pairs, reports, bounds)
+        doc = verify_inclusion(pairs, reports, bounds)
         assert doc.ok

@@ -208,7 +208,8 @@ def test_symmetric_conflict_names_the_same_entry():
 
 
 def test_symmetric_conflict_in_a_large_orbit_names_the_record():
-    # the orbit of 1 1 2 2 3 4 5 6 7 has 9!/4 = 90720 > 8! positions
+    # the orbit of 1 1 2 2 3 4 5 6 7 has 9!/4 = 90720 positions; the
+    # conflict names the sorted tuple, the orbit's first record
     text = "tensor m=9 n=7 symmetric\n1 1 2 2 3 4 5 6 7 1.0\n2 1 1 2 3 4 5 6 7 2.0\n"
     tracemalloc.start()
     try:
@@ -218,7 +219,7 @@ def test_symmetric_conflict_in_a_large_orbit_names_the_record():
     finally:
         tracemalloc.stop()
     assert str(err.value) == (
-        "conflicting values 1.0 and 2.0 for entry 2 1 1 2 3 4 5 6 7 (lines 2, 3)"
+        "conflicting values 1.0 and 2.0 for entry 1 1 2 2 3 4 5 6 7 (lines 2, 3)"
     )
     assert peak < 2**20  # neither the 7**9 entries nor the orbit's positions
 
@@ -288,6 +289,22 @@ def test_oversized_header_is_refused_before_allocating():
         tracemalloc.stop()
     assert err.value.lines == (1,)
     assert peak < 2**20
+
+
+def test_huge_order_header_is_refused_before_the_power():
+    # 3**10**7 alone is a 2 MB integer and seconds of work
+    tracemalloc.start()
+    try:
+        with pytest.raises(TensorFormatError) as err:
+            parse_tensor("tensor m=10000000 n=3\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.lines == (1,)
+    assert str(err.value) == f"dense tensor too large: 3**10000000 > {MAX_DENSE_ENTRIES} (line 1)"
+    assert peak < 2**20
+    with pytest.raises(ValueError, match=r"dense tensor too large: 3\*\*10000000 entries exceeds"):
+        Tensor(10**7, 3, [])
 
 
 def test_serialize_matches_scalar_writer(example1, example2):

@@ -388,12 +388,13 @@ def test_single_off_orbit_entry_is_not_weakly_symmetric():
 
 
 def test_weak_symmetry_check_is_exact_and_deterministic(example2):
-    chk = weak_symmetry_check(example2, tol=1e-12)
-    assert chk.ok and chk.tol == 1e-12
+    chk = weak_symmetry_check(example2)
+    assert chk.ok and chk.tol == tensor_mod.WEAK_SYMMETRY_TOL == 1e-9
+    assert chk.max_residual <= 1e-12 * (1.0 + example2.max_abs_entry())
     assert not hasattr(chk, "trials") and not hasattr(chk, "seed")
-    assert weak_symmetry_check(example2, tol=1e-12) == chk
-    with pytest.raises(ValueError):
-        weak_symmetry_check(example2, tol=0.0)
+    assert weak_symmetry_check(example2) == chk
+    with pytest.raises(TypeError):
+        weak_symmetry_check(example2, tol=1e-12)
 
 
 def weak_symmetry_panel():
