@@ -380,7 +380,9 @@ def _add_common(sub, formats):
 def _add_oracle_opts(sub):
     sub.add_argument("--starts", type=int, default=50, help="random restarts for sshopm")
     sub.add_argument("--seed", type=int, default=42)
-    sub.add_argument("--tol", type=float, default=1e-10, help="iterate-change stop for sshopm")
+    sub.add_argument("--tol", type=float, default=1e-10,
+                     help="iterate-change stop for sshopm: the power phase hands off at "
+                     "sqrt(tol), the Newton polish stops at tol")
     sub.add_argument("--max-iter", type=int, default=1000)
 
 

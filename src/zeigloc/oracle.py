@@ -3,15 +3,17 @@
 Two tiers: an exact solver for dimension 2 (on x = (1, t) the eigen
 equation is one polynomial of degree at most m in t, so the eigenvectors are
 its real roots), and a shifted power iteration with random restarts for
-general small dimension.  The power iteration makes no completeness claim;
-every accepted pair is a genuine eigenpair up to the residual gate, which is
-all the inclusion checks need.
+general small dimension, whose runs hand off to a Newton polish.  The power
+iteration makes no completeness claim; every accepted pair is a genuine
+eigenpair up to the residual gate, which is all the inclusion checks need.
 
 Both tiers contract the tensor with a block of vectors at once through
-``tensor._apply_block``: the power step iterates a block of runs, and the
-candidate directions of either tier, the roots' lines or the runs' last
-iterates, pass the gate as one block, with lambda = x . A x^(m-1) and the
-residual ||A x^(m-1) - lambda x|| from the same contraction.
+``tensor._apply_block``: the power step iterates a block of runs, the polish
+takes one Newton step for a block of runs with the Jacobians of
+``tensor._jacobian_block``, and the candidate directions of either tier, the
+roots' lines or the runs' last iterates, pass the gate as one block, with
+lambda = x . A x^(m-1) and the residual ||A x^(m-1) - lambda x|| from the
+same contraction.
 """
 
 import logging
@@ -23,7 +25,7 @@ import numpy as np
 
 from .bounds import BoundReport
 from .localization import SET_NAMES, SetReport
-from .tensor import Tensor, _apply_block, apply
+from .tensor import Tensor, _apply_block, _jacobian_block, apply
 
 # a candidate must satisfy the eigen equation to this residual to be returned
 RESIDUAL_ACCEPT = 1e-8
@@ -35,6 +37,9 @@ ANGLE_TOL = 1e-5
 # doubles the power iteration's contraction intermediates may hold (8 MiB);
 # a call with more runs than fit iterates them in chunks
 _BLOCK_DOUBLES = 1 << 20
+
+# Newton steps the polish takes at most per row
+_NEWTON_STEPS = 8
 
 # how a power-iteration run stopped, in the order of the diagnostic counts
 _OUTCOMES = ("converged", "max_iter", "zero_image")
@@ -225,24 +230,90 @@ def _retire(out, how, run, stop, X, outcome):
     return ~stop
 
 
+def _eigen_residual(X, Y, lam):
+    """F(x, lambda) = (A x^(m-1) - lambda x, (x . x - 1) / 2) per row, from
+    the image Y = A x^(m-1), and its norms."""
+    F = np.empty((len(X), X.shape[1] + 1))
+    F[:, :-1] = Y - lam[:, None] * X
+    F[:, -1] = 0.5 * (np.matmul(X[:, None, :], X[:, :, None]).ravel() - 1.0)
+    return F, _row_norms(F).ravel()
+
+
+def _solve_rows(M, b):
+    """np.linalg.solve for every system of the block; the rows of an exactly
+    singular matrix get NaN, which no step takes, instead of failing the block."""
+    try:
+        return np.linalg.solve(M, b)
+    except np.linalg.LinAlgError:
+        out = np.full_like(b, np.nan)
+        for k in range(len(M)):
+            try:
+                out[k] = np.linalg.solve(M[k], b[k])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _newton_block(entries, X, tol):
+    """Polish the unit rows of X by Newton's method on F(x, lambda) from
+    lambda = x . A x^(m-1); return the polished rows, rescaled to unit length.
+
+    A step solves the bordered (S, n+1, n+1) systems [[J - lambda I, -x],
+    [x^T, 0]] (dx, dlambda) = -F of the live rows in one call, with J the
+    Jacobian of A x^(m-1).  A row takes its step only if ||F|| shrinks, and
+    leaves on a step it does not take, after a step with ||dx|| <= tol or
+    after ``_NEWTON_STEPS`` steps; a row whose A x^(m-1) - lambda x is exactly
+    zero is done before the first solve.
+    """
+    n = X.shape[1]
+    X = X.copy()
+    Y = _apply_block(entries, X)
+    lam = np.matmul(X[:, None, :], Y[:, :, None]).ravel()
+    F, norm = _eigen_residual(X, Y, lam)
+    live = np.flatnonzero(np.any(F[:, :-1], axis=1))
+    for _ in range(_NEWTON_STEPS):
+        if not live.size:
+            break
+        x = X[live]
+        M = np.zeros((len(live), n + 1, n + 1))
+        M[:, :n, :n] = _jacobian_block(entries, x) - lam[live, None, None] * np.eye(n)
+        M[:, :n, n] = -x
+        M[:, n, :n] = x
+        d = _solve_rows(M, -F[live, :, None])[:, :, 0]
+        x_try, lam_try = x + d[:, :n], lam[live] + d[:, n]
+        # a huge step from a nearly singular system may overflow: its norm is
+        # then inf or NaN, and the step is not taken
+        with np.errstate(over="ignore", invalid="ignore"):
+            F_try, norm_try = _eigen_residual(x_try, _apply_block(entries, x_try), lam_try)
+        take = norm_try < norm[live]
+        rows = live[take]
+        X[rows], lam[rows], F[rows], norm[rows] = x_try[take], lam_try[take], F_try[take], norm_try[take]
+        live = rows[_row_norms(d[take, :n]).ravel() > tol]
+    return X / _row_norms(X)
+
+
 def sshopm(A: Tensor, cfg: OracleConfig | None = None) -> list[ZEigenPair]:
-    """Shifted power iteration with random restarts.
+    """Shifted power iteration with random restarts, polished by Newton steps.
 
     Each restart runs with both shift signs: x <- +-normalize(A x^(m-1) + a x)
     with the sign matching the shift, magnitude ``order * max|entry| + 1``.
     The positive shift walks toward large eigenvalues of the restricted
     polynomial, the negative one toward small ones.  Iterates stop on
-    ||x_k+1 - x_k|| <= tol, on an image of norm < 1e-300 (keeping the current
-    iterate) or at max_iter; only candidates passing the residual gate are
-    returned, deduplicated up to eigenvector sign.
+    ||x_k+1 - x_k|| <= sqrt(tol), on an image of norm < 1e-300 (keeping the
+    current iterate) or at max_iter.  The runs that stopped on the step
+    converge quadratically in ``_newton_block``, which stops a run on a
+    Newton step ||dx|| <= tol; the other runs keep their last iterate.  Only
+    candidates passing the residual gate are returned, deduplicated up to
+    eigenvector sign.
 
     All ``2 * starts`` runs (start r // 2, shift sign + for even r) iterate
     as one block, in chunks that keep the contraction intermediates within
     ``_BLOCK_DOUBLES`` doubles.  A chunk's last iterates go through the
     residual gate together: one more block contraction gives every run's
     eigenvalue and residual.  Each call logs, at debug level on the
-    ``zeigloc.oracle`` logger, how many runs converged, hit max_iter, stopped
-    on a zero image and failed the residual gate, and the shift.
+    ``zeigloc.oracle`` logger, how many runs converged (reached the hand-off
+    and were polished), hit max_iter, stopped on a zero image and failed the
+    residual gate, and the shift.
     """
     cfg = cfg or OracleConfig()
     alpha = A.order * A.max_abs_entry() + 1.0
@@ -255,10 +326,13 @@ def sshopm(A: Tensor, cfg: OracleConfig | None = None) -> list[ZEigenPair]:
     sign = np.tile([[1.0], [-1.0]], (cfg.starts, 1))
     # doubles of one run's intermediates: A x^(m-1) on the way down to length n
     chunk = max(1, _BLOCK_DOUBLES // sum(A.dim**k for k in range(1, A.order)))
+    hand_off = math.sqrt(cfg.tol)
     candidates, how = [], []
     for lo in range(0, len(X), chunk):
         last, stopped = _power_block(A.entries, X[lo : lo + chunk], sign[lo : lo + chunk],
-                                     alpha, cfg.tol, cfg.max_iter)
+                                     alpha, hand_off, cfg.max_iter)
+        polish = stopped == _CONVERGED
+        last[polish] = _newton_block(A.entries, last[polish], cfg.tol)
         candidates += _gated_pairs(A, last, "sshopm")
         how.append(stopped)
     how = np.concatenate(how)

@@ -105,17 +105,38 @@ def _as_vector(A: Tensor, x) -> np.ndarray:
     return v
 
 
-def _apply_block(entries: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _apply_block(entries: np.ndarray, X: np.ndarray, keep: int = 1) -> np.ndarray:
     """A x^(m-1) for every row x of the (S, n) block X, with A given by its
     ``entries``.  The last index is contracted by one matrix product with
     the entries as an (n^(m-1), n) matrix, and each further one by a batched
-    matrix product per row; an empty block gives an empty (0, n) result."""
+    matrix product per row; an empty block gives an empty (0, n) result.
+
+    With ``keep`` > 1 the first ``keep`` axes stay open: the result is the
+    (S, n^keep) block of the contractions of the other axes (with keep = m,
+    a read-only view of the entries for every row)."""
     S, n = X.shape
+    if keep == entries.ndim:
+        return np.broadcast_to(entries.reshape(1, -1), (S, entries.size))
     Y = X @ entries.reshape(-1, n).T
     col = X[:, :, None]
-    for k in range(entries.ndim - 2, 0, -1):
+    for k in range(entries.ndim - 2, keep - 1, -1):
         Y = np.matmul(Y.reshape(S, n**k, n), col)
-    return Y.reshape(S, n)
+    return Y.reshape(S, n**keep)
+
+
+def _jacobian_block(entries: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The (S, n, n) Jacobians of A x^(m-1) at the rows of the (S, n) block X.
+
+    Entry (i, j) sums, over the m-1 tail positions, the contraction of the
+    other tail positions with x, that position held at j.  Rotating the tail
+    axes puts each position second; the rotated tensors are added, and one
+    ``_apply_block`` contraction leaves the first two axes open.  A need not
+    be symmetric.
+    """
+    S, n = X.shape
+    tail = list(range(1, entries.ndim))
+    T = sum(entries.transpose([0, *tail[p:], *tail[:p]]) for p in range(len(tail)))
+    return _apply_block(T, X, keep=2).reshape(S, n, n)
 
 
 def apply(A: Tensor, x) -> np.ndarray:
@@ -278,7 +299,15 @@ def _read_header(line: str, lineno: int) -> tuple[int, int, bool]:
             f"malformed header {line!r}, expected 'tensor m=<order> n=<dim> [symmetric]'",
             lines=(lineno,),
         )
-    order, dim = int(match.group(1)), int(match.group(2))
+    digits = [match.group(k).lstrip("0") or "0" for k in (1, 2)]
+    for name, d in zip("mn", digits):
+        # a size with more digits than the cap exceeds it; int() would refuse
+        # one of over 4300 digits with a plain ValueError
+        if len(d) > len(str(MAX_DENSE_ENTRIES)):
+            raise TensorFormatError(
+                f"dense tensor too large: {name} has {len(d)} digits", lines=(lineno,)
+            )
+    order, dim = map(int, digits)
     if order < 2 or dim < 2:
         raise TensorFormatError(
             f"tensor needs order >= 2 and dim >= 2, got m={order}, n={dim}",

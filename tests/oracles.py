@@ -5,9 +5,10 @@ plain loop over all index tuples, gradients from central finite differences,
 the localization sets and bounds from per-pair loops over their scalar
 definitions, weak symmetry from a loop over rows, tail tuples and their
 permutations, and power-method eigenpairs from one run at a time over
-``brute_apply``; the text format is read and written one record at a time.  Only
-``IntervalSet``, ``Tensor``, ``TensorFormatError`` and ``MAX_DENSE_ENTRIES``
-come from the library.
+``brute_apply``, polished by Newton steps over ``brute_jacobian``; the text
+format is read and written one record at a time.  Only ``IntervalSet``,
+``Tensor``, ``TensorFormatError`` and ``MAX_DENSE_ENTRIES`` come from the
+library.
 """
 
 import itertools
@@ -178,6 +179,21 @@ def brute_gradient(entries: np.ndarray, x):
     return g
 
 
+def brute_jacobian(entries: np.ndarray, x):
+    """Jacobian of ``brute_apply``: each tail position p of each entry adds
+    the product of x over the other tail positions to (idx[0], idx[p])."""
+    m, n = entries.ndim, entries.shape[0]
+    J = np.zeros((n, n))
+    for idx in itertools.product(range(n), repeat=m):
+        for p in range(1, m):
+            prod = float(entries[idx])
+            for q in range(1, m):
+                if q != p:
+                    prod *= x[idx[q]]
+            J[idx[0], idx[p]] += prod
+    return J
+
+
 def brute_weak_symmetry(entries: np.ndarray, tol: float = 1e-9):
     """(verdict, residual) of the exact weak-symmetry test by enumeration.
 
@@ -228,19 +244,62 @@ def brute_polyval(entries: np.ndarray, x) -> float:
     return total
 
 
-def scalar_sshopm(A: Tensor, starts=50, max_iter=1000, tol=1e-10, shift=None, seed=42):
+def _norm(v) -> float:
+    return math.sqrt(sum(float(c) * float(c) for c in v))
+
+
+def scalar_newton(entries: np.ndarray, x, tol: float, steps: int = 8):
+    """Reference Newton polish of one unit vector on F(x, lambda) =
+    (A x^(m-1) - lambda x, (x . x - 1) / 2) from lambda = x . A x^(m-1): a step
+    solves [[J - lambda I, -x], [x^T, 0]] (dx, dlambda) = -F with J from
+    ``brute_jacobian``, is taken only if ||F|| shrinks, and the polish ends
+    on a step not taken, after a step with ||dx|| <= tol or after ``steps``
+    steps.  Returns x rescaled to unit length."""
+    n = len(x)
+
+    def residual(x, lam):
+        return np.append(brute_apply(entries, x) - lam * x, (float(x @ x) - 1.0) / 2.0)
+
+    lam = float(x @ brute_apply(entries, x))
+    f = residual(x, lam)
+    if not any(f[:n]):
+        return x
+    for _ in range(steps):
+        M = np.zeros((n + 1, n + 1))
+        M[:n, :n] = brute_jacobian(entries, x) - lam * np.eye(n)
+        M[:n, n] = -x
+        M[n, :n] = x
+        try:
+            d = np.linalg.solve(M, -f)
+        except np.linalg.LinAlgError:
+            break
+        x_try, lam_try = x + d[:n], lam + d[n]
+        f_try = residual(x_try, lam_try)
+        if not _norm(f_try) < _norm(f):
+            break
+        x, lam, f = x_try, lam_try, f_try
+        if _norm(d[:n]) <= tol:
+            break
+    return x / _norm(x)
+
+
+def scalar_sshopm(A: Tensor, starts=50, max_iter=1000, tol=1e-10, shift=None, seed=42, polish=True):
     """Reference shifted power method: one run per start and shift sign, one
     ``brute_apply`` per step, then the residual gate (1e-8) and clustering
-    by value (1e-6) and eigenvector up to sign (1e-5).  Returns the kept
-    pairs as sorted (value, unit vector) tuples."""
+    by value (1e-6) and eigenvector up to sign (1e-5).  With ``polish`` a
+    run stops on a step <= sqrt(tol) and, if it got there, goes through
+    ``scalar_newton``; without it a run stops on a step <= tol, the pure
+    power rule.  Returns the kept pairs as sorted (value, unit vector) tuples."""
     entries, m, n = A.entries, A.order, A.dim
     alpha = abs(float(shift if shift is not None else m * np.max(np.abs(entries)) + 1.0))
+    stop = math.sqrt(tol) if polish else tol
     found = []
     for x0 in np.random.default_rng(seed).standard_normal((starts, n)):
         nrm = math.sqrt(sum(v * v for v in x0))
         x0 = np.eye(n)[0] if nrm < 1e-12 else x0 / nrm
         for sign in (1.0, -1.0):
             x = x0
+            converged = False
             for _ in range(max_iter):
                 y = brute_apply(entries, x) + sign * alpha * x
                 nrm = math.sqrt(sum(v * v for v in y))
@@ -249,8 +308,11 @@ def scalar_sshopm(A: Tensor, starts=50, max_iter=1000, tol=1e-10, shift=None, se
                 x_next = sign * y / nrm
                 step = math.sqrt(sum(v * v for v in x_next - x))
                 x = x_next
-                if step <= tol:
+                if step <= stop:
+                    converged = True
                     break
+            if polish and converged:
+                x = scalar_newton(entries, x, tol)
             if m % 2 == 0 and x[np.argmax(np.abs(x))] < 0:
                 x = -x
             value = brute_polyval(entries, x)
@@ -358,7 +420,13 @@ def scalar_parse_tensor(text: str) -> Tensor:
                     f"malformed header {line!r}, expected 'tensor m=<order> n=<dim> [symmetric]'",
                     lines=(lineno,),
                 )
-            order, dim = int(match.group(1)), int(match.group(2))
+            digits = [match.group(k).lstrip("0") or "0" for k in (1, 2)]
+            for name, d in zip("mn", digits):
+                if len(d) > len(str(MAX_DENSE_ENTRIES)):
+                    raise TensorFormatError(
+                        f"dense tensor too large: {name} has {len(d)} digits", lines=(lineno,)
+                    )
+            order, dim = int(digits[0]), int(digits[1])
             symmetric = match.group(3) is not None
             if order < 2 or dim < 2:
                 raise TensorFormatError(

@@ -241,6 +241,14 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_header_with_a_5000_digit_size_exits_2(tmp_path, capsys):
+    huge = tmp_path / "huge.txt"
+    huge.write_text("tensor m=2 n=" + "9" * 5000 + "\n")
+    code, out, err = run(capsys, "info", str(huge))
+    assert (code, out) == (2, "")
+    assert err == "zeigloc: input error: dense tensor too large: n has 5000 digits (line 1)\n"
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "info", "/no/such/file.txt")
     assert code == 2

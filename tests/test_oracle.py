@@ -12,6 +12,8 @@ from oracles import n2_eigenvalues, random_symmetric_tensor, random_tensor, scal
 from zeigloc.bounds import bound_report
 from zeigloc.localization import build_sets
 from zeigloc.oracle import (
+    ANGLE_TOL,
+    DEDUPE_TOL,
     OracleConfig,
     ZEigenPair,
     circle_solve,
@@ -309,6 +311,66 @@ def test_sshopm_matches_scalar_reference():
         for p, (value, x) in zip(got, want):
             assert abs(p.value - value) <= 1e-10
             assert min(np.abs(p.vector - x).max(), np.abs(p.vector + x).max()) <= 1e-8
+
+
+def test_polish_loses_no_pure_power_pair():
+    # every pair that the pure power rule (a run stops on a step <= tol, no
+    # polish) accepts is found by sshopm, which hands off at sqrt(tol)
+    rng = np.random.default_rng(20261019)
+    panel = [random_symmetric_tensor(rng, m, n) for m, n in ((3, 3), (3, 5), (4, 3), (4, 4), (5, 3))]
+    panel += [random_tensor(rng, m, 3) for m in (3, 4)]
+    cfg = OracleConfig(starts=10)
+    for A in panel:
+        got = sshopm(A, cfg)
+        want = scalar_sshopm(A, cfg.starts, cfg.max_iter, cfg.tol, seed=cfg.seed, polish=False)
+        assert want
+        for value, x in want:
+            assert any(abs(p.value - value) <= DEDUPE_TOL
+                       and math.acos(min(1.0, abs(float(p.vector @ x)))) <= ANGLE_TOL
+                       for p in got), (A, value)
+
+
+def test_sshopm_every_unit_vector_an_eigenvector(monkeypatch):
+    # the order-4 symmetrisation of I (x) I has A x^3 = ||x||^2 x: every unit
+    # vector is an eigenvector with lambda = 1, and the bordered Newton
+    # systems are singular
+    singular = []
+    solve_block = np.linalg.solve
+
+    def spy(M, b):
+        try:
+            return solve_block(M, b)
+        except np.linalg.LinAlgError:
+            singular.append(len(M))
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    for n in (2, 3, 5):
+        eye = np.eye(n)
+        outer = np.einsum("ij,kl->ijkl", eye, eye)
+        A = Tensor(4, n, sum(np.transpose(outer, p) for p in itertools.permutations(range(4))) / 24)
+        pairs = sshopm(A, OracleConfig(starts=10, seed=3))
+        assert pairs
+        assert all(p.value == pytest.approx(1.0, abs=1e-12) and p.residual <= 1e-8 for p in pairs)
+    assert singular, "no block solve met an exactly singular system"
+
+
+def test_newton_block_skips_singular_rows():
+    # a Jordan block beside the eigenvalue 2 on e3: at e1 the bordered system
+    # has a zero column, and the row keeps its iterate while e3 is polished
+    entries = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+    X = np.array([[1.0, 0.0, 0.0], [1e-6, 0.0, 1.0]])
+    X[1] /= np.linalg.norm(X[1])
+    with np.errstate(all="raise"):
+        out = oracle_mod._newton_block(entries, X, 1e-10)
+    assert np.array_equal(out[0], [1.0, 0.0, 0.0])
+    assert np.abs(out[1] - [0.0, 0.0, 1.0]).max() <= 1e-15
+    assert oracle_mod._newton_block(entries, X[:0], 1e-10).shape == (0, 3)
+    # nearly singular: the step to (1, -1e290) overflows the residual, and is not taken
+    e1 = np.array([[1.0, 0.0]])
+    with np.errstate(all="raise"):
+        out = oracle_mod._newton_block(np.array([[0.0, 0.0], [1e-10, 1e-300]]), e1, 1e-10)
+    assert np.array_equal(out, e1)
 
 
 def test_oracle_config_validation():

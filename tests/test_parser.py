@@ -307,6 +307,17 @@ def test_huge_order_header_is_refused_before_the_power():
         Tensor(10**7, 3, [])
 
 
+def test_header_size_over_int_digit_limit_is_a_format_error():
+    # int() refuses strings of over 4300 digits with a plain ValueError
+    nines = "9" * 5000
+    assert assert_same_outcome(f"tensor m=2 n={nines}\n") == (
+        "error", "dense tensor too large: n has 5000 digits (line 1)", (1,))
+    assert assert_same_outcome(f"tensor m={nines} n=2\n")[1].startswith(
+        "dense tensor too large: m has 5000 digits")
+    # leading zeros do not count
+    assert assert_same_outcome("tensor m=" + "0" * 5000 + "2 n=2\n1 1 1.0\n")[:2] == ("ok", (2, 2))
+
+
 def test_serialize_matches_scalar_writer(example1, example2):
     rng = np.random.default_rng(43)
     tensors = [example1, example2, Tensor.zeros(3, 2)]

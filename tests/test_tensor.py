@@ -8,6 +8,7 @@ import zeigloc.tensor as tensor_mod
 from oracles import (
     brute_apply,
     brute_gradient,
+    brute_jacobian,
     brute_polyval,
     brute_weak_symmetry,
     fd_gradient,
@@ -226,6 +227,18 @@ def test_gradient_matches_brute_force():
         A = random_tensor(rng, m, n)
         x = rng.uniform(-1, 1, n)
         assert np.allclose(gradient(A, x), brute_gradient(A.entries, x), rtol=1e-12, atol=1e-12)
+
+
+def test_jacobian_block_matches_brute_force_row_by_row():
+    rng = np.random.default_rng(15)
+    for m, n in CONTRACTION_SHAPES:
+        A = random_tensor(rng, m, n)
+        X = rng.uniform(-1, 1, (3, n))
+        J = tensor_mod._jacobian_block(A.entries, X)
+        assert J.shape == (3, n, n)
+        for x, j in zip(X, J):
+            assert np.allclose(j, brute_jacobian(A.entries, x), rtol=1e-12, atol=1e-12)
+        assert tensor_mod._jacobian_block(A.entries, np.zeros((0, n))).shape == (0, n, n)
 
 
 def test_polyval_examples(example1):
