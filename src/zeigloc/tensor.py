@@ -6,9 +6,10 @@ the ``entry`` accessor) and 0-based internally; the parser and serializer are
 the only places that translate between the two.
 """
 
-import itertools
 import math
 import re
+import threading
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,12 +66,23 @@ class Tensor:
         arr = np.array(entries, dtype=float)
         if arr.shape != (dim,) * order:
             raise ValueError(f"entries shape {arr.shape} does not match ({dim},) * {order}")
-        if not np.all(np.isfinite(arr)):
+        # NaN and infinities reach min or max: no mask the size of the entries
+        if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
             raise ValueError("tensor entries must be finite (no NaN or infinity)")
+        self._hold(arr)
+
+    def _hold(self, arr: np.ndarray) -> None:
         arr.setflags(write=False)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "order", arr.ndim)
+        object.__setattr__(self, "dim", len(arr))
         object.__setattr__(self, "entries", arr)
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "Tensor":
+        """The tensor over a finite float array of shape (n,) * m, n, m >= 2, uncopied."""
+        A = cls.__new__(cls)
+        A._hold(arr)
+        return A
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
@@ -274,22 +286,10 @@ def weak_symmetry_check(A: Tensor) -> WeakSymmetryCheck:
 # --------------------------------------------------------------------------
 
 
-# raw lines per parser block: one block's token strings are the only Python
-# objects the parser holds per record
+# raw lines per parser block: bounds the record array numpy's reader builds
 _PARSE_BLOCK = 8192
-
-
-class _IndexTable(dict):
-    """Index token to 1-based index: '1'..'n' by lookup, any other spelling
-    through int(); an integer out of range maps to 0, failing the block."""
-
-    def __init__(self, dim: int):
-        super().__init__((str(i), i) for i in range(1, dim + 1))
-        self.dim = dim
-
-    def __missing__(self, token):
-        i = int(token)
-        return i if 1 <= i <= self.dim else 0
+# catch_warnings swaps the process-wide warning filters: one block at a time
+_LOADTXT_LOCK = threading.Lock()
 
 
 def _read_header(line: str, lineno: int) -> tuple[int, int, bool]:
@@ -321,11 +321,12 @@ def _read_header(line: str, lineno: int) -> tuple[int, int, bool]:
     return order, dim, match.group(3) is not None
 
 
-def _check_record(raw: str, lineno: int, order: int, dim: int) -> None:
-    """Raise the TensorFormatError of one body line, if it has one."""
+def _read_record(raw: str, lineno: int, order: int, dim: int):
+    """(1-based indices, value) of one body line, None for a blank or comment
+    line; a malformed line raises its TensorFormatError."""
     line = raw.split("#", 1)[0].strip()
     if not line:
-        return
+        return None
     tokens = line.split()
     if len(tokens) != order + 1:
         raise TensorFormatError(
@@ -345,40 +346,37 @@ def _check_record(raw: str, lineno: int, order: int, dim: int) -> None:
         raise TensorFormatError(f"bad value {tokens[-1]!r}", lines=(lineno,)) from None
     if not math.isfinite(value):
         raise TensorFormatError(f"non-finite value {tokens[-1]!r}", lines=(lineno,))
+    return idx, value
 
 
-def _parse_block(lines: list[str], order: int, index_of: _IndexTable):
-    """(offsets of the record lines, (records, order) 1-based indices, values)
-    of a block of body lines, or None if any line fails a check."""
-    fields = [raw.split("#", 1)[0].split() for raw in lines]
-    counts = np.fromiter(map(len, fields), np.intp, len(fields))
-    rows = np.flatnonzero(counts)
-    if np.any(counts[rows] != order + 1):
+def _parse_block(lines: list[str], order: int, dim: int):
+    """((records, order) 1-based indices, values) of a block of body lines from
+    numpy's C reader; None if it refuses or warns (a spelling only Python reads,
+    a float index, no record), or an index is outside 1..dim or a value not finite."""
+    with _LOADTXT_LOCK, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rec = np.loadtxt(
+                lines, dtype=[("i", np.intp, (order,)), ("v", float)], comments="#", ndmin=1
+            )
+        except (ValueError, Warning):
+            return None
+    if rec["i"].min() < 1 or rec["i"].max() > dim or not np.all(np.isfinite(rec["v"])):
         return None
-    tokens = list(itertools.chain.from_iterable(fields))
-    del fields
-    value_tokens = tokens[order :: order + 1]
-    del tokens[order :: order + 1]
-    try:
-        idx = np.fromiter(map(index_of.__getitem__, tokens), np.intp, len(tokens))
-        values = np.fromiter(map(float, value_tokens), float, len(value_tokens))
-    except ValueError:
-        return None
-    if not (np.all(idx) and np.all(np.isfinite(values))):
-        return None
-    return rows, idx.reshape(-1, order), values
+    return rec["i"], rec["v"].copy()  # a view would keep the block's records alive
 
 
 def parse_tensor(source) -> Tensor:
     """Parse the tensor text format from a string or a readable file object.
 
-    The body is read in blocks of ``_PARSE_BLOCK`` lines into index and value
-    arrays; a block that fails a check is re-read line by line, so the error
-    names its first bad line.  Records are grouped by flat index (by orbit key
-    with the ``symmetric`` flag) with a stable sort: the first record of a
-    group gives the entry, and a later one more than 1e-12 away from it is a
-    conflict, named by its record's index tuple (sorted with the
-    ``symmetric`` flag).  Parse errors win over conflicts.
+    The body is read in blocks of ``_PARSE_BLOCK`` lines, each by numpy's C
+    reader into one record array; a block it refuses, or with a bad index or
+    value, is read line by line with ``int()`` and ``float()``, which set the
+    spellings accepted, so an error names its first bad line.  Records are
+    grouped by flat index (by orbit key with the ``symmetric`` flag) with a
+    stable sort: the first record of a group gives the entry, and a later one
+    more than 1e-12 away from it is a conflict, named by its record's index
+    tuple (sorted with the ``symmetric`` flag).  Parse errors win over conflicts.
     """
     text = source.read() if hasattr(source, "read") else source
     lines = text.splitlines()
@@ -391,46 +389,48 @@ def parse_tensor(source) -> Tensor:
     order, dim, symmetric = _read_header(line, head + 1)
     shape = (dim,) * order
 
-    index_of = _IndexTable(dim)
-    keys, values, linenos = [np.zeros(0, np.intp)], [np.zeros(0)], [np.zeros(0, np.intp)]
+    keys, values = [np.zeros(0, np.intp)], [np.zeros(0)]
     for start in range(head + 1, len(lines), _PARSE_BLOCK):
         block = lines[start : start + _PARSE_BLOCK]
-        parsed = _parse_block(block, order, index_of)
+        parsed = _parse_block(block, order, dim)
         if parsed is None:
-            for k, raw in enumerate(block):
-                _check_record(raw, start + k + 1, order, dim)
-            raise AssertionError("a block failed its checks but none of its lines did")
-        rows, idx, vals = parsed
-        idx -= 1
+            read = [_read_record(raw, start + k + 1, order, dim) for k, raw in enumerate(block)]
+            read = [r for r in read if r is not None]
+            parsed = np.array([r[0] for r in read], np.intp), np.array([r[1] for r in read])
+        idx, vals = parsed
+        idx = idx.reshape(-1, order) - 1
         if symmetric:
             idx.sort(axis=1)
         keys.append(np.ravel_multi_index(idx.T, shape))
         values.append(vals)
-        linenos.append(rows + (start + 1))
 
+    # perm[k]: ordinal in file order of the k-th record by key
     keys = np.concatenate(keys)
     perm = np.argsort(keys, kind="stable")
-    keys, values, linenos = keys[perm], np.concatenate(values)[perm], np.concatenate(linenos)[perm]
+    keys, values = keys[perm], np.concatenate(values)[perm]
     first = np.ones(keys.size, bool)
     first[1:] = keys[1:] != keys[:-1]
     group_first = np.maximum.accumulate(np.where(first, np.arange(keys.size), 0))
     with np.errstate(over="ignore"):
         conflict = np.abs(values - values[group_first]) > 1e-12
     if np.any(conflict):
-        k = np.flatnonzero(conflict)[np.argmin(linenos[conflict])]
+        k = np.flatnonzero(conflict)[np.argmin(perm[conflict])]
         g = group_first[k]
         idx = " ".join(str(i + 1) for i in np.unravel_index(keys[k], shape))
+        body = [j for j in range(head + 1, len(lines)) if lines[j].split("#", 1)[0].strip()]
         raise TensorFormatError(
             f"conflicting values {float(values[g])!r} and {float(values[k])!r} for entry {idx}",
-            lines=(int(linenos[g]), int(linenos[k])),
+            lines=(body[perm[g]] + 1, body[perm[k]] + 1),
         )
 
+    keys, values = keys[first], values[first]
+    del perm, first, group_first, conflict  # before the dense array is allocated
     arr = np.zeros(dim**order)
-    arr[keys[first]] = values[first]
+    arr[keys] = values
     if symmetric:
         for block, orbit_keys in _orbit_key_blocks(shape):
             arr[block] = arr[orbit_keys]
-    return Tensor(order, dim, arr.reshape(shape))
+    return Tensor._adopt(arr.reshape(shape))
 
 
 def _listed_entries(A: Tensor) -> tuple[list[list[int]], list[float]]:

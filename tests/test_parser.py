@@ -7,7 +7,10 @@ boundaries fall everywhere.
 """
 
 import itertools
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -250,6 +253,92 @@ def test_parse_error_wins_over_an_earlier_conflict(monkeypatch, block):
     monkeypatch.setattr(tensor_module, "_PARSE_BLOCK", block)
     text = "tensor m=2 n=2\n1 1 1.0\n1 1 2.0\n2 2 3.0\n2 1 inf\n"
     assert assert_same_outcome(text) == ("error", "non-finite value 'inf' (line 5)", (5,))
+
+
+@pytest.mark.parametrize("odd", ["2 3 1_0.5", "2 \u0663 0.5"])
+def test_block_numpy_refuses_is_read_line_by_line(monkeypatch, odd):
+    # 1_0.5 and the Arabic-Indic digit three are spellings only int() and
+    # float() read; the other records of their block come out the same
+    monkeypatch.setattr(tensor_module, "_PARSE_BLOCK", 4)
+    body = [f"{i} {j} {i + j / 8}" for i in range(1, 4) for j in range(1, 4)]
+    body[5] = odd
+    kind, shape, _ = assert_same_outcome("tensor m=2 n=3\n" + "\n".join(body) + "\n")
+    assert (kind, shape) == ("ok", (3, 3))
+
+
+def test_comment_only_block_between_record_blocks(monkeypatch):
+    # numpy's reader warns "input contained no data" on the middle block
+    monkeypatch.setattr(tensor_module, "_PARSE_BLOCK", 3)
+    text = "tensor m=2 n=2\n1 1 1.0\n1 2 2.0\n2 1 3.0\n# a\n\n  # b\n2 2 4.0\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        A = parse_tensor(text)
+    assert A.entries.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert outcome(parse_tensor, text) == outcome(scalar_parse_tensor, text)
+
+
+def test_threads_parsing_at_once_keep_their_warning_filters(monkeypatch):
+    # one thread leaving catch_warnings must not drop another's "error"
+    # filter, or numpy's "no data" warning passes and the block is read empty
+    monkeypatch.setattr(tensor_module, "_PARSE_BLOCK", 3)
+    text = "tensor m=2 n=2\n1 1 1.0\n1 2 2.0\n2 1 3.0\n# a\n\n  # b\n2 2 4.0\n"
+    results = []
+
+    def work():
+        for _ in range(200):
+            try:
+                results.append(parse_tensor(text).entries.tolist())
+            except Exception as exc:  # fails the comparison below
+                results.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[[1.0, 2.0], [3.0, 4.0]]] * 1600
+
+
+def test_block_the_reader_only_warns_about_is_read_line_by_line(monkeypatch):
+    # numpy 1.24-1.26 read the index 1.0 as 1 with a DeprecationWarning
+    loadtxt = np.loadtxt
+
+    def loadtxt_reading_float_indices(lines, *args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        return loadtxt([line.replace("1.0 ", "1 ") for line in lines], *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt_reading_float_indices)
+    text = "tensor m=2 n=2\n2 2 4.0\n1.0 2 0.5\n"
+    assert assert_same_outcome(text) == (
+        "error", "non-integer index in '1.0 2 0.5' (line 3)", (3,))
+
+
+def test_index_beyond_int64_is_out_of_range():
+    text = "tensor m=2 n=2\n1 1 1.0\n2 99999999999999999999 0.5\n"
+    assert assert_same_outcome(text) == (
+        "error", "index 99999999999999999999 out of range 1..2 (line 3)", (3,))
+
+
+def test_parse_holds_one_dense_copy():
+    # a symmetric (3,200) parse: 61 MiB dense; the tensor takes the parser's
+    # array, so the peak is that array, not it, a copy and a finiteness mask
+    text = "tensor m=3 n=200 symmetric\n1 2 3 0.5\n200 1 7 -2.25\n"
+    dense = 200**3 * 8
+    tracemalloc.start()
+    try:
+        A = parse_tensor(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert A.entry((7, 200, 1)) == -2.25 and not A.entries.flags.writeable
+    assert peak < dense + dense // 4
 
 
 def test_orbit_block_size_does_not_change_results(monkeypatch):
