@@ -8,8 +8,6 @@ the only places that translate between the two.
 
 import math
 import re
-import threading
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -288,8 +286,27 @@ def weak_symmetry_check(A: Tensor) -> WeakSymmetryCheck:
 
 # raw lines per parser block: bounds the record array numpy's reader builds
 _PARSE_BLOCK = 8192
-# catch_warnings swaps the process-wide warning filters: one block at a time
-_LOADTXT_LOCK = threading.Lock()
+
+
+def _reads_float_spelled_integers() -> bool:
+    """True if numpy's reader accepts "1.5" for an integer field, as numpy 1.x
+    does (truncated, with a DeprecationWarning); newer numpy refuses it."""
+    try:
+        np.loadtxt(["1.5"], dtype=np.intp)
+    except ValueError:
+        return False
+    except Warning:  # that DeprecationWarning under an "error" filter
+        pass
+    return True
+
+
+# a line numpy's reader might not read as the per-line reader does: not blank,
+# a comment, or m integers of at most 9 ASCII digits (no int32 overflow) and a value
+_ODD_INDEX_LINE = r"\n(?![ \t]*(?:#|\n|$)|[ \t]*(?:[+-]?[0-9]{{1,9}}[ \t]+){{{m}}}[^\s#])"
+# where numpy's reader truncates float-spelled integers, such a line sends its
+# block to the per-line reader
+_SCREEN_INDICES = _reads_float_spelled_integers()
+_RECORD_LINE = re.compile(r"\n[^\S\n]*[^\s#]")
 
 
 def _read_header(line: str, lineno: int) -> tuple[int, int, bool]:
@@ -351,19 +368,22 @@ def _read_record(raw: str, lineno: int, order: int, dim: int):
 
 def _parse_block(lines: list[str], order: int, dim: int):
     """((records, order) 1-based indices, values) of a block of body lines from
-    numpy's C reader; None if it refuses or warns (a spelling only Python reads,
-    a float index, no record), or an index is outside 1..dim or a value not finite."""
-    with _LOADTXT_LOCK, warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            rec = np.loadtxt(
-                lines, dtype=[("i", np.intp, (order,)), ("v", float)], comments="#", ndmin=1
-            )
-        except (ValueError, Warning):
-            return None
-    if rec["i"].min() < 1 or rec["i"].max() > dim or not np.all(np.isfinite(rec["v"])):
+    numpy's C reader; None if it refuses the block, or an index is outside
+    1..dim or a value not finite.  No warning filter is touched or relied on."""
+    text = "\n" + "\n".join(lines)
+    if _SCREEN_INDICES and re.search(_ODD_INDEX_LINE.format(m=order), text):
         return None
-    return rec["i"], rec["v"].copy()  # a view would keep the block's records alive
+    if _RECORD_LINE.search(text) is None:  # numpy's reader would warn "no data"
+        return np.zeros((0, order), np.intp), np.zeros(0)
+    dtype = [("i", np.intp, (order,)), ("v", float)]
+    try:
+        rec = np.loadtxt(lines, dtype=dtype, comments="#", ndmin=1)
+    except ValueError:  # a spelling only Python reads, a float index, a wrong field count
+        return None
+    idx, values = rec["i"], rec["v"]
+    if rec.size == 0 or idx.min() < 1 or idx.max() > dim or not np.all(np.isfinite(values)):
+        return None
+    return idx, values.copy()  # a view would keep the block's records alive
 
 
 def parse_tensor(source) -> Tensor:

@@ -277,47 +277,81 @@ def test_comment_only_block_between_record_blocks(monkeypatch):
     assert outcome(parse_tensor, text) == outcome(scalar_parse_tensor, text)
 
 
-def test_threads_parsing_at_once_keep_their_warning_filters(monkeypatch):
-    # one thread leaving catch_warnings must not drop another's "error"
-    # filter, or numpy's "no data" warning passes and the block is read empty
+def test_parse_leaves_other_threads_warnings_alone(monkeypatch):
+    # a warning another thread raises while blocks are parsed stays a warning:
+    # the parser changes no process-wide warning filter
     monkeypatch.setattr(tensor_module, "_PARSE_BLOCK", 3)
     text = "tensor m=2 n=2\n1 1 1.0\n1 2 2.0\n2 1 3.0\n# a\n\n  # b\n2 2 4.0\n"
-    results = []
+    raised, parsing = [], threading.Event()
 
-    def work():
-        for _ in range(200):
+    def warn():
+        while not parsing.is_set():
+            pass
+        while parsing.is_set():
             try:
-                results.append(parse_tensor(text).entries.tolist())
-            except Exception as exc:  # fails the comparison below
-                results.append(repr(exc))
+                warnings.warn("from another thread", RuntimeWarning)
+            except RuntimeWarning as exc:
+                raised.append(exc)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert results == [[[1.0, 2.0], [3.0, 4.0]]] * 1600
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        thread = threading.Thread(target=warn)
+        thread.start()
+        parsing.set()
+        try:
+            results = [parse_tensor(text).entries.tolist() for _ in range(300)]
+        finally:
+            parsing.clear()
+            thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+    assert not thread.is_alive() and not raised
+    assert results == [[[1.0, 2.0], [3.0, 4.0]]] * 300
+    assert caught and {str(w.message) for w in caught} == {"from another thread"}
 
 
-def test_block_the_reader_only_warns_about_is_read_line_by_line(monkeypatch):
-    # numpy 1.24-1.26 read the index 1.0 as 1 with a DeprecationWarning
-    loadtxt = np.loadtxt
+REAL_LOADTXT = np.loadtxt
 
-    def loadtxt_reading_float_indices(lines, *args, **kwargs):
-        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
-                      DeprecationWarning, stacklevel=2)
-        return loadtxt([line.replace("1.0 ", "1 ") for line in lines], *args, **kwargs)
 
-    monkeypatch.setattr(np, "loadtxt", loadtxt_reading_float_indices)
-    text = "tensor m=2 n=2\n2 2 4.0\n1.0 2 0.5\n"
-    assert assert_same_outcome(text) == (
-        "error", "non-integer index in '1.0 2 0.5' (line 3)", (3,))
+def truncating_loadtxt(lines, dtype, **kwargs):
+    """np.loadtxt as numpy 1.x reads an integer field: a float spelling is
+    read as the float, truncated, with a DeprecationWarning."""
+    dtype = np.dtype(dtype)
+    floats = [(k, float, dtype[k].shape) for k in dtype.names] if dtype.names else float
+    read = REAL_LOADTXT(lines, dtype=floats, **kwargs)
+    warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+    with np.errstate(invalid="ignore"):
+        return read.astype(dtype)
+
+
+def test_float_spelled_index_probe(monkeypatch):
+    assert not tensor_module._reads_float_spelled_integers()  # numpy here refuses "1.5"
+    monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+    for action in ("ignore", "error"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            assert tensor_module._reads_float_spelled_integers()
+
+
+@pytest.mark.parametrize("block", [3, 8192])
+def test_reader_that_truncates_float_indices_is_screened(monkeypatch, block):
+    # with numpy 1.x's reader, blocks whose index fields are not plain
+    # integers go to the per-line reader, whatever the warning filters say
+    monkeypatch.setattr(tensor_module, "_PARSE_BLOCK", block)
+    monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+    monkeypatch.setattr(tensor_module, "_SCREEN_INDICES", True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for line in ("1.5 2 0.5", "1.0 2 0.5", "1e0\t2 0.5", "  +1.  2 0.5 # c"):
+            text = f"tensor m=2 n=2\n2 2 4.0\n{line}\n1 1 1.0\n"
+            assert assert_same_outcome(text) == (
+                "error", f"non-integer index in {line.split('#')[0].strip()!r} (line 3)", (3,))
+        for _, text in panel(7):
+            assert_same_outcome(text)
+        # unscreened, the truncating reader takes 1.5 for 1
+        monkeypatch.setattr(tensor_module, "_SCREEN_INDICES", False)
+        assert parse_tensor("tensor m=2 n=2\n1.5 2 0.5\n").entry((1, 2)) == 0.5
 
 
 def test_index_beyond_int64_is_out_of_range():
