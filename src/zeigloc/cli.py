@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: info, sets, bounds, zeig, verify.  Tables print values at 4
-decimals; the structured (JSON) format carries the same values at full
-precision (the shortest decimal that reads back as the same double).
+decimals; the structured format prints one JSON document on one line, with
+the same values at full precision (the shortest decimal that reads back as
+the same double).
 Exit codes: 0 success or verified, 1 verification failure, 2 input error.
 """
 
@@ -44,8 +45,9 @@ _SVG_STYLES = {
 
 
 def render_json(obj) -> str:
-    """JSON at 2-space indent; floats in Python's shortest round-trip form."""
-    return json.dumps(obj, indent=2, allow_nan=False)
+    """JSON on one line, from json's C encoder; floats in Python's shortest
+    round-trip form, and NaN or infinity raise ValueError."""
+    return json.dumps(obj, allow_nan=False)
 
 
 def _interval_list(iset: IntervalSet):

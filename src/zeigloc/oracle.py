@@ -10,10 +10,10 @@ eigenpair up to the residual gate, which is all the inclusion checks need.
 Both tiers contract the tensor with a block of vectors at once through
 ``tensor._apply_block``: the power step iterates a block of runs, the polish
 takes one Newton step for a block of runs with the Jacobians of
-``tensor._jacobian_block``, and the candidate directions of either tier, the
-roots' lines or the runs' last iterates, pass the gate as one block, with
-lambda = x . A x^(m-1) and the residual ||A x^(m-1) - lambda x|| from the
-same contraction.
+``tensor._jacobian_block`` (from a rotated tensor summed once per polish),
+and the candidate directions of either tier, the roots' lines or the runs'
+last iterates, pass the gate as one block, with lambda = x . A x^(m-1) and
+the residual ||A x^(m-1) - lambda x|| from the same contraction.
 """
 
 import logging
@@ -25,7 +25,7 @@ import numpy as np
 
 from .bounds import BoundReport
 from .localization import SET_NAMES, SetReport
-from .tensor import Tensor, _apply_block, _jacobian_block, apply
+from .tensor import Tensor, _apply_block, _jacobian_block, _tail_rotation_sum, apply
 
 # a candidate must satisfy the eigen equation to this residual to be returned
 RESIDUAL_ACCEPT = 1e-8
@@ -124,16 +124,31 @@ def _sorted_pairs(pairs):
     return sorted(pairs, key=lambda p: (p.value, tuple(p.vector)))
 
 
+def _horner(coeffs: list[float], t: float) -> float:
+    y = 0.0
+    for a in coeffs:
+        y = y * t + a
+    return y
+
+
 def _newton(coeffs: np.ndarray, t: float) -> float:
-    """Newton steps on the polynomial with descending ``coeffs`` while |value| shrinks."""
-    deriv = np.polyder(coeffs)
+    """Newton steps on the polynomial with descending ``coeffs`` while |value| shrinks.
+
+    The steps run in Python floats: Horner's rule from 0.0 and the
+    derivative's coefficients a * (degree - k) are the IEEE operations of
+    ``np.polyval`` and ``np.polyder`` in the same order, so the root is the
+    same double, without numpy's per-call cost on scalars.
+    """
+    c = coeffs.tolist()
+    deriv = [a * (len(c) - 1 - k) for k, a in enumerate(c[:-1])]
+    t = float(t)
     for _ in range(8):
-        d = np.polyval(deriv, t)
-        t_next = t - np.polyval(coeffs, t) / d if d != 0.0 else t
-        if not abs(np.polyval(coeffs, t_next)) < abs(np.polyval(coeffs, t)):
+        d = _horner(deriv, t)
+        t_next = t - _horner(c, t) / d if d != 0.0 else t
+        if not abs(_horner(c, t_next)) < abs(_horner(c, t)):
             break  # converged, a flat point, or a non-finite step
         t = t_next
-    return float(t)
+    return t
 
 
 def _circle_pairs(A: Tensor, lines) -> list[ZEigenPair]:
@@ -271,12 +286,13 @@ def _newton_block(entries, X, tol):
     lam = np.matmul(X[:, None, :], Y[:, :, None]).ravel()
     F, norm = _eigen_residual(X, Y, lam)
     live = np.flatnonzero(np.any(F[:, :-1], axis=1))
+    rotated = _tail_rotation_sum(entries) if live.size else None
     for _ in range(_NEWTON_STEPS):
         if not live.size:
             break
         x = X[live]
         M = np.zeros((len(live), n + 1, n + 1))
-        M[:, :n, :n] = _jacobian_block(entries, x) - lam[live, None, None] * np.eye(n)
+        M[:, :n, :n] = _jacobian_block(rotated, x) - lam[live, None, None] * np.eye(n)
         M[:, :n, n] = -x
         M[:, n, :n] = x
         d = _solve_rows(M, -F[live, :, None])[:, :, 0]

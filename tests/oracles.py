@@ -4,8 +4,9 @@ Nothing here calls the library's vectorized code paths: row sums come from a
 plain loop over all index tuples, gradients from central finite differences,
 the localization sets and bounds from per-pair loops over their scalar
 definitions, weak symmetry from a loop over rows, tail tuples and their
-permutations, and power-method eigenpairs from one run at a time over
-``brute_apply``, polished by Newton steps over ``brute_jacobian``; the text
+permutations, power-method eigenpairs from one run at a time over
+``brute_apply``, polished by Newton steps over ``brute_jacobian``, and the
+n = 2 root polish from ``np.polyval`` on numpy scalars; the text
 format is read and written one record at a time.  Only ``IntervalSet``,
 ``Tensor``, ``TensorFormatError`` and ``MAX_DENSE_ENTRIES`` come from the
 library.
@@ -281,6 +282,20 @@ def scalar_newton(entries: np.ndarray, x, tol: float, steps: int = 8):
         if _norm(d[:n]) <= tol:
             break
     return x / _norm(x)
+
+
+def polyval_newton(coeffs: np.ndarray, t: float) -> float:
+    """Reference polish of one root of a polynomial with descending ``coeffs``:
+    Newton steps through ``np.polyval`` and ``np.polyder`` on numpy scalars,
+    at most 8, each taken only while |value| shrinks."""
+    deriv = np.polyder(coeffs)
+    for _ in range(8):
+        d = np.polyval(deriv, t)
+        t_next = t - np.polyval(coeffs, t) / d if d != 0.0 else t
+        if not abs(np.polyval(coeffs, t_next)) < abs(np.polyval(coeffs, t)):
+            break
+        t = t_next
+    return float(t)
 
 
 def scalar_sshopm(A: Tensor, starts=50, max_iter=1000, tol=1e-10, shift=None, seed=42, polish=True):

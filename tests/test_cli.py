@@ -286,6 +286,15 @@ def test_outputs_unchanged_when_pair_intervals_are_rebuilt(
     assert outputs() == cached
 
 
+@pytest.mark.parametrize("command", ["info", "sets", "bounds", "zeig", "verify"])
+def test_structured_output_is_one_json_line(capsys, example1_path, example2_path, command):
+    for path in (example1_path, example2_path):
+        code, out, _ = run(capsys, command, path, "--format", "structured")
+        assert code == 0
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert json.loads(out)["meta"]["command"] == command
+
+
 def test_render_json_round_trips_17_digits():
     payload = {"x": 6.316084380618436, "items": [1e-300, 0.1, 3], "flag": True, "none": None}
     text = render_json(payload)

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 import zeigloc.oracle as oracle_mod
-from oracles import n2_eigenvalues, random_symmetric_tensor, random_tensor, scalar_sshopm
+from oracles import (
+    n2_eigenvalues,
+    polyval_newton,
+    random_symmetric_tensor,
+    random_tensor,
+    scalar_sshopm,
+)
 from zeigloc.bounds import bound_report
 from zeigloc.localization import build_sets
 from zeigloc.oracle import (
@@ -145,6 +151,54 @@ def test_circle_solve_deterministic(example1):
     a = circle_solve(example1)
     b = circle_solve(example1)
     assert [(p.value, tuple(p.vector)) for p in a] == [(p.value, tuple(p.vector)) for p in b]
+
+
+def _polish_panel(rng):
+    """(coefficients, start) pairs as circle_solve polishes them: each real
+    root t of a degree 2-8 polynomial, in t when |t| <= 1 and in s = 1/t on
+    the reversed coefficients otherwise; coefficients span 1e-3 to 1e3."""
+    for k in range(600):
+        deg = 2 + k % 7
+        if k % 2:
+            roots = rng.uniform(-4.0, 4.0, deg)
+            g = np.poly(roots) * 10.0 ** rng.uniform(-3.0, 3.0)
+        else:
+            g = rng.choice([-1.0, 1.0], deg + 1) * 10.0 ** rng.uniform(-3.0, 3.0, deg + 1)
+        if k % 5 == 0:
+            g[0] = 0.0  # degree drop, as where a[1, 2, ..., 2] = 0
+        r = np.roots(g)
+        for t in r.real[np.abs(r.imag) <= 1e-6 * (1.0 + np.abs(r))]:
+            yield (g, t) if abs(t) <= 1.0 else (g[::-1], 1.0 / t)
+
+
+def test_newton_polish_matches_polyval_reference_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for g, t in _polish_panel(rng):
+        for start in (t, t * (1.0 + 1e-6), t + 1e-3):
+            got, want = oracle_mod._newton(g, start), polyval_newton(g, start)
+            assert type(got) is float
+            assert got.hex() == want.hex(), (g, start)
+            checked += 1
+    assert checked > 3000
+
+
+def _pair_bits(pairs):
+    return [(p.value.hex(), p.vector.tobytes(), p.residual.hex(), p.multiplicity, p.source)
+            for p in pairs]
+
+
+def test_circle_solve_pairs_unchanged_under_polyval_polish(monkeypatch):
+    rng = np.random.default_rng(2025)
+    panel = []
+    for m in range(2, 9):
+        for _ in range(6):
+            panel.append(random_tensor(rng, m, 2))
+            panel.append(random_symmetric_tensor(rng, m, 2, low=-1.0))
+    fast = [_pair_bits(circle_solve(A)) for A in panel]
+    monkeypatch.setattr(oracle_mod, "_newton", polyval_newton)
+    assert [_pair_bits(circle_solve(A)) for A in panel] == fast
+    assert sum(map(len, fast)) > 200
 
 
 # ----------------------------------------------------------------- sshopm
