@@ -9,8 +9,8 @@ eigenpair up to the residual gate, which is all the inclusion checks need.
 
 Both tiers contract the tensor with a block of vectors at once through
 ``tensor._apply_block``: the power step iterates a block of runs, the polish
-takes one Newton step for a block of runs with the Jacobians of
-``tensor._jacobian_block`` (from a rotated tensor summed once per polish),
+takes one Newton step for a block of runs with the Jacobians contracted
+from ``tensor._jacobian_tensor`` (summed once per polish),
 and the candidate directions of either tier, the roots' lines or the runs'
 last iterates, pass the gate as one block, with lambda = x . A x^(m-1) and
 the residual ||A x^(m-1) - lambda x|| from the same contraction.
@@ -25,7 +25,7 @@ import numpy as np
 
 from .bounds import BoundReport
 from .localization import SET_NAMES, SetReport
-from .tensor import Tensor, _apply_block, _jacobian_block, _tail_rotation_sum, apply
+from .tensor import Tensor, _apply_block, _jacobian_tensor, apply
 
 # a candidate must satisfy the eigen equation to this residual to be returned
 RESIDUAL_ACCEPT = 1e-8
@@ -286,13 +286,13 @@ def _newton_block(entries, X, tol):
     lam = np.matmul(X[:, None, :], Y[:, :, None]).ravel()
     F, norm = _eigen_residual(X, Y, lam)
     live = np.flatnonzero(np.any(F[:, :-1], axis=1))
-    rotated = _tail_rotation_sum(entries) if live.size else None
+    jac = _jacobian_tensor(entries) if live.size else None
     for _ in range(_NEWTON_STEPS):
         if not live.size:
             break
         x = X[live]
         M = np.zeros((len(live), n + 1, n + 1))
-        M[:, :n, :n] = _jacobian_block(rotated, x) - lam[live, None, None] * np.eye(n)
+        M[:, :n, :n] = _apply_block(jac, x, keep=2).reshape(-1, n, n) - lam[live, None, None] * np.eye(n)
         M[:, :n, n] = -x
         M[:, n, :n] = x
         d = _solve_rows(M, -F[live, :, None])[:, :, 0]

@@ -134,25 +134,19 @@ def _apply_block(entries: np.ndarray, X: np.ndarray, keep: int = 1) -> np.ndarra
     return Y.reshape(S, n**keep)
 
 
-def _tail_rotation_sum(entries: np.ndarray) -> np.ndarray:
-    """The sum of the m-1 rotations of the tail axes of ``entries``, which
-    put each tail position second: the tensor ``_jacobian_block`` contracts."""
+def _jacobian_tensor(entries: np.ndarray) -> np.ndarray:
+    """The tensor whose contraction of all but its first two axes with x gives
+    the Jacobian of A x^(m-1) at x, with A given by its ``entries``: the sum
+    of the m-1 rotations of the tail axes.
+
+    Entry (i, j) of the Jacobian sums, over the m-1 tail positions, the
+    contraction of the other tail positions with x, that position held at j.
+    In the rotated sum each position sits second, so
+    ``_apply_block(_jacobian_tensor(entries), X, keep=2)`` gives the (S, n*n)
+    block of Jacobians at the rows of X.  A need not be symmetric.
+    """
     tail = list(range(1, entries.ndim))
     return sum(entries.transpose([0, *tail[p:], *tail[:p]]) for p in range(len(tail)))
-
-
-def _jacobian_block(rotated: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """The (S, n, n) Jacobians of A x^(m-1) at the rows of the (S, n) block X,
-    with ``rotated`` = ``_tail_rotation_sum(A.entries)``.
-
-    Entry (i, j) sums, over the m-1 tail positions, the contraction of the
-    other tail positions with x, that position held at j.  In the rotated
-    sum each position sits second, so one ``_apply_block`` contraction that
-    leaves the first two axes open gives all of them.  A need not be
-    symmetric.
-    """
-    S, n = X.shape
-    return _apply_block(rotated, X, keep=2).reshape(S, n, n)
 
 
 def apply(A: Tensor, x) -> np.ndarray:

@@ -325,13 +325,24 @@ def truncating_loadtxt(lines, dtype, **kwargs):
         return read.astype(dtype)
 
 
+def refusing_loadtxt(lines, dtype, **kwargs):
+    """np.loadtxt as numpy 2 reads a float spelling in an integer field."""
+    raise ValueError(f"could not convert string {lines[0]!r} to {np.dtype(dtype)}")
+
+
 def test_float_spelled_index_probe(monkeypatch):
-    assert not tensor_module._reads_float_spelled_integers()  # numpy here refuses "1.5"
-    monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+    # the installed numpy's answer, whichever numpy it is, is the one taken at
+    # import and does not depend on the warning filters
     for action in ("ignore", "error"):
         with warnings.catch_warnings():
             warnings.simplefilter(action)
-            assert tensor_module._reads_float_spelled_integers()
+            assert tensor_module._reads_float_spelled_integers() == tensor_module._SCREEN_INDICES
+    for loadtxt, reads in ((truncating_loadtxt, True), (refusing_loadtxt, False)):
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        for action in ("ignore", "error"):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action)
+                assert tensor_module._reads_float_spelled_integers() is reads
 
 
 @pytest.mark.parametrize("block", [3, 8192])
