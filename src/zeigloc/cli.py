@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Subcommands: info, sets, bounds, zeig, verify.  Tables print values at 4
-decimals; the structured format prints one JSON document on one line, with
-the same values at full precision (the shortest decimal that reads back as
-the same double).
+Subcommands: info, sets, bounds, zeig, verify.  Each command builds one
+structured document, ``meta`` plus its sections, and every output format
+renders from it.  The structured format prints the document as one JSON line,
+each value at full precision (the shortest decimal that reads back as the
+same double); the tables print the same values at 4 decimals; the plot-data
+and svg formats of ``sets`` draw its sets section.
 Exit codes: 0 success or verified, 1 verification failure, 2 input error.
 """
 
@@ -15,7 +17,7 @@ import sys
 from . import __version__
 from .bounds import BOUND_NAMES, BoundReport, bound_report
 from .intervals import IntervalSet
-from .localization import SET_NAMES, build_sets, inclusion_chain_check, row_aggregates
+from .localization import SET_NAMES, SetReport, build_sets, inclusion_chain_check, row_aggregates
 from .oracle import OracleConfig, solve, verify_inclusion
 from .tensor import (
     SYMMETRY_TOL,
@@ -50,25 +52,23 @@ def render_json(obj) -> str:
     return json.dumps(obj, allow_nan=False)
 
 
-def _interval_list(iset: IntervalSet):
-    return [[lo, hi] for lo, hi in iset.intervals]
+def _flag(b: bool) -> str:
+    return "yes" if b else "no"
 
 
-def _fmt(v, nd: int = 4) -> str:
-    if v is None:
-        return "-"
-    return f"{v:.{nd}f}"
+def _fmt(v) -> str:
+    return "-" if v is None else f"{v:.4f}"
 
 
 # ------------------------------------------------------------- doc sections
 
 
-def _info_section(A: Tensor, wsc) -> dict:
+def _info_section(A: Tensor, nonnegative: bool, wsc) -> dict:
     return {
         "order": A.order,
         "dim": A.dim,
         "entry_count": A.dim**A.order,
-        "nonnegative": is_nonnegative(A),
+        "nonnegative": nonnegative,
         "symmetric": wsc.orbit_spread <= SYMMETRY_TOL,
         "weakly_symmetric": {
             "verdict": wsc.ok,
@@ -85,13 +85,13 @@ def _sets_section(reports) -> list:
         rep = reports[name]
         entry = {
             "name": name,
-            "intervals": _interval_list(rep.set),
+            "intervals": rep.set.intervals,
             "radius": rep.radius,
-            "per_index": [_interval_list(s) for s in rep.per_index],
+            "per_index": [s.intervals for s in rep.per_index],
         }
         if rep.families:
             entry["families"] = {
-                fam: [_interval_list(s) for s in rows] for fam, rows in rep.families.items()
+                fam: [s.intervals for s in rows] for fam, rows in rep.families.items()
             }
         out.append(entry)
     return out
@@ -99,14 +99,8 @@ def _sets_section(reports) -> list:
 
 def _bounds_section(rep: BoundReport) -> dict:
     out = {}
-    for name in BOUND_NAMES:
-        bv = getattr(rep, name)
-        entry = {"value": bv.value, "i": bv.i}
-        if bv.j is not None:
-            entry["j"] = bv.j
-        if bv.family is not None:
-            entry["family"] = bv.family
-        out[name] = entry
+    for name in BOUND_NAMES:  # value, i, and the witnesses j and family where present
+        out[name] = {k: v for k, v in vars(getattr(rep, name)).items() if v is not None}
     out["nonnegative"] = rep.nonnegative
     out["weakly_symmetric"] = rep.weak_symmetry.ok
     return out
@@ -125,98 +119,101 @@ def _eigen_section(pairs) -> list:
     ]
 
 
+def _cells(row: dict) -> dict:
+    """A verification row's set cells, then its bound cells when checked."""
+    return {**row["sets"], **(row["bounds"] or {})}
+
+
 # ------------------------------------------------------------ text renders
 
 
-def _text_info(section: dict) -> str:
-    ws = section["weakly_symmetric"]
-    flag = lambda b: "yes" if b else "no"
+def _text_info(doc) -> str:
+    info = doc["info"]
+    ws = info["weakly_symmetric"]
     return "\n".join(
         [
-            f"tensor: order m={section['order']}, dimension n={section['dim']} "
-            f"({section['entry_count']} entries)",
-            f"nonnegative:       {flag(section['nonnegative'])}",
-            f"symmetric:         {flag(section['symmetric'])}",
-            f"weakly symmetric:  {flag(ws['verdict'])} "
+            f"tensor: order m={info['order']}, dimension n={info['dim']} "
+            f"({info['entry_count']} entries)",
+            f"nonnegative:       {_flag(info['nonnegative'])}",
+            f"symmetric:         {_flag(info['symmetric'])}",
+            f"weakly symmetric:  {_flag(ws['verdict'])} "
             f"(exact, max residual {ws['max_residual']:.3e})",
         ]
     )
 
 
-def _text_sets(reports) -> str:
+def _text_sets(doc) -> str:
     lines = [f"{'set':<6} {'radius':>10}  intervals"]
-    for name in SET_NAMES:
-        rep = reports[name]
-        ivs = " u ".join(f"[{_fmt(lo)}, {_fmt(hi)}]" for lo, hi in rep.set.intervals) or "(empty)"
-        lines.append(f"{name:<6} {_fmt(rep.radius):>10}  {ivs}")
+    for entry in doc["sets"]:
+        ivs = " u ".join(f"[{_fmt(lo)}, {_fmt(hi)}]" for lo, hi in entry["intervals"]) or "(empty)"
+        lines.append(f"{entry['name']:<6} {_fmt(entry['radius']):>10}  {ivs}")
     return "\n".join(lines)
 
 
-def _text_bounds(rep: BoundReport) -> str:
+def _text_bounds(doc) -> str:
+    bounds = doc["bounds"]
     lines = [f"{'bound':<10} {'value':>10}  {'witness':<16} description"]
     for name in BOUND_NAMES:
-        bv = getattr(rep, name)
-        witness = f"i={bv.i}" + (f" j={bv.j}" if bv.j is not None else "")
-        if bv.family:
-            witness += f" ({bv.family})"
-        lines.append(f"{name:<10} {_fmt(bv.value):>10}  {witness:<16} {BOUND_LABELS[name]}")
-    flag = lambda b: "yes" if b else "no"
+        bv = bounds[name]
+        witness = f"i={bv['i']}" + (f" j={bv['j']}" if "j" in bv else "")
+        if "family" in bv:
+            witness += f" ({bv['family']})"
+        lines.append(f"{name:<10} {_fmt(bv['value']):>10}  {witness:<16} {BOUND_LABELS[name]}")
     lines.append(
-        f"applies to the Z-spectral radius: nonnegative={flag(rep.nonnegative)} "
-        f"weakly_symmetric={flag(rep.weak_symmetry.ok)}"
+        f"applies to the Z-spectral radius: nonnegative={_flag(bounds['nonnegative'])} "
+        f"weakly_symmetric={_flag(bounds['weakly_symmetric'])}"
     )
     return "\n".join(lines)
 
 
-def _text_eigen(pairs, power: bool) -> str:
+def _text_eigen(doc, power: bool) -> str:
     # only the power method warns when it finds nothing
+    pairs = doc["eigenpairs"]
     if not pairs:
         return "no Z-eigenpairs found" + (" (see warnings)" if power else "")
     lines = [f"{'lambda':>10} {'residual':>10} {'mult':>5} {'source':<7} eigenvector"]
     for p in pairs:
-        vec = "[" + ", ".join(_fmt(v) for v in p.vector) + "]"
+        vec = "[" + ", ".join(_fmt(v) for v in p["vector"]) + "]"
         lines.append(
-            f"{_fmt(p.value):>10} {p.residual:>10.2e} {p.multiplicity:>5} {p.source:<7} {vec}"
+            f"{_fmt(p['value']):>10} {p['residual']:>10.2e} {p['multiplicity']:>5} "
+            f"{p['source']:<7} {vec}"
         )
     return "\n".join(lines)
 
 
-def _text_verification(doc, chain) -> str:
+def _text_verification(doc) -> str:
+    bounds, ver = doc["bounds"], doc["verification"]
     names = list(SET_NAMES)
-    bound_names = list(BOUND_NAMES) if doc.bounds_checked else []
-    header = f"{'lambda':>10} " + " ".join(f"{n:>9}" for n in names + bound_names)
-    lines = [header]
+    if bounds["nonnegative"] and bounds["weakly_symmetric"]:  # the bounds were checked
+        names += BOUND_NAMES
+    lines = [f"{'lambda':>10} " + " ".join(f"{n:>9}" for n in names)]
     mark = lambda b: "ok" if b else "FAIL"
-    for row in doc.rows:
-        cells = [mark(row.set_ok[n]) for n in names]
-        if row.bound_ok is not None:
-            cells += [mark(row.bound_ok[n]) for n in bound_names]
-        lines.append(f"{_fmt(row.pair.value):>10} " + " ".join(f"{c:>9}" for c in cells))
-    chain_txt = "ok" if chain.ok else "FAIL"
-    lines.append(f"inclusion chain Omega, Psi, L, K: {chain_txt}")
-    for v in chain.violations:
+    for row in ver["rows"]:
+        cells = " ".join(f"{mark(good):>9}" for good in _cells(row).values())
+        lines.append(f"{_fmt(row['value']):>10} {cells}")
+    lines.append(f"inclusion chain Omega, Psi, L, K: {mark(ver['chain']['ok'])}")
+    for v in ver["chain"]["violations"]:
+        lo, hi = v["interval"]
         lines.append(
-            f"  violation: {v.inner} interval [{v.interval[0]:.6g}, {v.interval[1]:.6g}] "
-            f"not inside {v.outer}"
+            f"  violation: {v['inner']} interval [{lo:.6g}, {hi:.6g}] not inside {v['outer']}"
         )
-    verdict = doc.ok and chain.ok
-    lines.append(f"verdict: {'PASS' if verdict else 'FAIL'}")
+    lines.append(f"verdict: {'PASS' if ver['ok'] else 'FAIL'}")
     return "\n".join(lines)
 
 
 # ------------------------------------------------------- plot-data and svg
 
 
-def render_plot_data(reports) -> str:
+def render_plot_data(sets) -> str:
     lines = ["set,inner_radius,outer_radius"]
-    for name in SET_NAMES:
-        for lo, hi in reports[name].set.intervals:
-            lines.append(f"{name},{lo:.17g},{hi:.17g}")
+    for entry in sets:
+        for lo, hi in entry["intervals"]:
+            lines.append(f"{entry['name']},{lo:.17g},{hi:.17g}")
     return "\n".join(lines) + "\n"
 
 
-def render_svg(reports, eigenvalues=(), size: int = 640) -> str:
-    radii = [reports[name].radius for name in SET_NAMES if reports[name].radius is not None]
+def render_svg(sets, eigenvalues=(), size: int = 640) -> str:
+    radii = [entry["radius"] for entry in sets if entry["radius"] is not None]
     rmax = max(radii + [abs(v) for v in eigenvalues] + [0.0])
     scale = (size / 2.0 - 40.0) / rmax if rmax > 0 else 1.0
     c = size / 2.0
@@ -227,14 +224,14 @@ def render_svg(reports, eigenvalues=(), size: int = 640) -> str:
         f'<line x1="0" y1="{c:.1f}" x2="{size}" y2="{c:.1f}" stroke="#cccccc" stroke-width="1"/>',
         f'<line x1="{c:.1f}" y1="0" x2="{c:.1f}" y2="{size}" stroke="#cccccc" stroke-width="1"/>',
     ]
-    for name in SET_NAMES:
-        style = _SVG_STYLES[name]
-        for lo, hi in reports[name].set.intervals:
+    for entry in sets:
+        name = entry["name"]
+        for lo, hi in entry["intervals"]:
             for r in (hi, lo):
                 if r > 0:
                     parts.append(
                         f'<circle cx="{c:.1f}" cy="{c:.1f}" r="{r * scale:.2f}" '
-                        f'fill="none" {style}><title>{name}</title></circle>'
+                        f'fill="none" {_SVG_STYLES[name]}><title>{name}</title></circle>'
                     )
     d = 6.0
     for v in eigenvalues:
@@ -254,68 +251,31 @@ def render_svg(reports, eigenvalues=(), size: int = 640) -> str:
 # ------------------------------------------------------------ subcommands
 
 
-def _meta(args, command: str) -> dict:
-    return {"command": command, "input": args.path, "version": __version__}
-
-
 def _oracle_cfg(args) -> OracleConfig:
-    return OracleConfig(
-        starts=args.starts,
-        max_iter=args.max_iter,
-        tol=args.tol,
-        seed=args.seed,
-    )
+    return OracleConfig(args.starts, args.max_iter, args.tol, args.seed)
 
 
-def cmd_info(args) -> int:
-    A = load_tensor(args.path)
-    section = _info_section(A, weak_symmetry_check(A))
-    if args.format == "structured":
-        print(render_json({"meta": _meta(args, "info"), "info": section}))
-    else:
-        print(_text_info(section))
-    return 0
+def _info(A: Tensor, args) -> dict:
+    return {"info": _info_section(A, is_nonnegative(A), weak_symmetry_check(A))}
 
 
-def cmd_sets(args) -> int:
-    A = load_tensor(args.path)
-    reports = build_sets(A)
-    if args.format == "plot-data":
-        sys.stdout.write(render_plot_data(reports))
-    elif args.format == "svg":
-        pairs = solve(A)
-        sys.stdout.write(render_svg(reports, [p.value for p in pairs]))
-    elif args.format == "structured":
-        print(render_json({"meta": _meta(args, "sets"), "sets": _sets_section(reports)}))
-    else:
-        print(_text_sets(reports))
-    return 0
+def _sets(A: Tensor, args) -> dict:
+    doc = {"sets": _sets_section(build_sets(A))}
+    if args.format == "svg":  # the eigenvalue marks, from the oracle at its defaults
+        doc["eigenpairs"] = _eigen_section(solve(A))
+    return doc
 
 
-def cmd_bounds(args) -> int:
-    A = load_tensor(args.path)
-    rep = bound_report(A)
-    if args.format == "structured":
-        print(render_json({"meta": _meta(args, "bounds"), "bounds": _bounds_section(rep)}))
-    else:
-        print(_text_bounds(rep))
-    return 0
+def _bounds(A: Tensor, args) -> dict:
+    return {"bounds": _bounds_section(bound_report(A))}
 
 
-def cmd_zeig(args) -> int:
-    A = load_tensor(args.path)
-    pairs = solve(A, _oracle_cfg(args))
-    if args.format == "structured":
-        print(render_json({"meta": _meta(args, "zeig"), "eigenpairs": _eigen_section(pairs)}))
-    else:
-        print(_text_eigen(pairs, power=A.dim != 2))
-    return 0
+def _zeig(A: Tensor, args) -> dict:
+    return {"eigenpairs": _eigen_section(solve(A, _oracle_cfg(args)))}
 
 
 def _corrupted(reports):
     # test hook: shrink every set so containment checks must fail
-    from .localization import SetReport
-
     out = {}
     for name, rep in reports.items():
         halved = IntervalSet((lo * 0.5, hi * 0.5) for lo, hi in rep.set.intervals)
@@ -323,51 +283,57 @@ def _corrupted(reports):
     return out
 
 
-def cmd_verify(args) -> int:
-    A = load_tensor(args.path)
+def _verify(A: Tensor, args) -> dict:
     agg = row_aggregates(A)
     reports = build_sets(A, agg)
     bounds = bound_report(A, agg)
     chain = inclusion_chain_check(A, reports=reports)
     pairs = solve(A, _oracle_cfg(args))
-    checked = _corrupted(reports) if args.corrupt_sets else reports
-    doc = verify_inclusion(pairs, checked, bounds)
-    if args.format == "structured":
-        document = {
-            "meta": _meta(args, "verify"),
-            "info": _info_section(A, bounds.weak_symmetry),
-            "sets": _sets_section(reports),
-            "bounds": _bounds_section(bounds),
-            "eigenpairs": _eigen_section(pairs),
-            "verification": {
-                "rows": [
-                    {
-                        "value": row.pair.value,
-                        "slack": row.slack,
-                        "sets": row.set_ok,
-                        "bounds": row.bound_ok,
-                    }
-                    for row in doc.rows
-                ],
-                "chain": {
-                    "ok": chain.ok,
-                    "radii": chain.radii,
-                    "violations": [
-                        {"inner": v.inner, "outer": v.outer, "interval": list(v.interval)}
-                        for v in chain.violations
-                    ],
-                },
-                "ok": doc.ok and chain.ok,
+    ver = verify_inclusion(pairs, _corrupted(reports) if args.corrupt_sets else reports, bounds)
+    return {
+        "info": _info_section(A, bounds.nonnegative, bounds.weak_symmetry),
+        "sets": _sets_section(reports),
+        "bounds": _bounds_section(bounds),
+        "eigenpairs": _eigen_section(pairs),
+        "verification": {
+            "rows": [
+                {"value": r.pair.value, "slack": r.slack, "sets": r.set_ok, "bounds": r.bound_ok}
+                for r in ver.rows
+            ],
+            "chain": {
+                "ok": chain.ok,
+                "radii": chain.radii,
+                "violations": [vars(v) for v in chain.violations],
             },
-        }
-        print(render_json(document))
+            "ok": ver.ok and chain.ok,
+        },
+    }
+
+
+def _run(args) -> int:
+    """Build the command's document, print it in the chosen format, and
+    return 1 when its verification failed."""
+    A = load_tensor(args.path)
+    meta = {"command": args.command, "input": args.path, "version": __version__}
+    doc = {"meta": meta, **args.sections(A, args)}
+    if args.format == "structured":
+        print(render_json(doc))
+    elif args.format == "plot-data":
+        sys.stdout.write(render_plot_data(doc["sets"]))
+    elif args.format == "svg":
+        sys.stdout.write(render_svg(doc["sets"], [p["value"] for p in doc["eigenpairs"]]))
+    elif args.command == "zeig":
+        print(_text_eigen(doc, power=A.dim != 2))
     else:
-        print(_text_verification(doc, chain))
-    if doc.ok and chain.ok:
+        print(args.text(doc))
+    ver = doc.get("verification")
+    if ver is None or ver["ok"]:
         return 0
     if args.format == "text":
-        for value, cell in doc.failing_cells():
-            print(f"failed: |{value:.6g}| not within {cell}", file=sys.stderr)
+        for row in ver["rows"]:
+            for cell, good in _cells(row).items():
+                if not good:
+                    print(f"failed: |{row['value']:.6g}| not within {cell}", file=sys.stderr)
     return 1
 
 
@@ -400,33 +366,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("info", help="structural predicates of the tensor")
     _add_common(sub, ("text", "structured"))
-    sub.set_defaults(func=cmd_info)
+    sub.set_defaults(sections=_info, text=_text_info)
 
     sub = subs.add_parser("sets", help="localization sets K, L, Psi, Omega")
     _add_common(sub, ("text", "structured", "plot-data", "svg"))
-    sub.set_defaults(func=cmd_sets)
+    sub.set_defaults(sections=_sets, text=_text_sets)
 
     sub = subs.add_parser("bounds", help="spectral-radius upper bounds")
     _add_common(sub, ("text", "structured"))
-    sub.set_defaults(func=cmd_bounds)
+    sub.set_defaults(sections=_bounds, text=_text_bounds)
 
     sub = subs.add_parser("zeig", help="Z-eigenpairs from the desk-scale oracle")
     _add_common(sub, ("text", "structured"))
     _add_oracle_opts(sub)
-    sub.set_defaults(func=cmd_zeig)
+    sub.set_defaults(sections=_zeig)
 
     sub = subs.add_parser("verify", help="check eigenvalues against sets and bounds")
     _add_common(sub, ("text", "structured"))
     _add_oracle_opts(sub)
     sub.add_argument("--corrupt-sets", action="store_true", help=argparse.SUPPRESS)
-    sub.set_defaults(func=cmd_verify)
+    sub.set_defaults(sections=_verify, text=_text_verification)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except TensorFormatError as exc:
         print(f"zeigloc: input error: {exc}", file=sys.stderr)
         return 2

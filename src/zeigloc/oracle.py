@@ -68,8 +68,9 @@ class OracleConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.starts < 1 or self.max_iter < 1 or self.tol <= 0:
-            raise ValueError("OracleConfig needs starts >= 1, max_iter >= 1, tol > 0")
+        # NaN and inf fail too: inf would skip the polish, NaN would never hand off to it
+        if self.starts < 1 or self.max_iter < 1 or not 0 < self.tol < math.inf:
+            raise ValueError("OracleConfig needs starts >= 1, max_iter >= 1, finite tol > 0")
 
 
 def residual(A: Tensor, value: float, vector) -> float:
@@ -400,10 +401,6 @@ class VerificationDocument:
     @property
     def ok(self) -> bool:
         return all(row.ok for row in self.rows)
-
-    def failing_cells(self):
-        return [(row.pair.value, name) for row in self.rows for name, good in row.cells.items()
-                if not good]
 
 
 def verify_inclusion(

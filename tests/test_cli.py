@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from zeigloc.bounds import bound_report
 from zeigloc.cli import main, render_json
 from zeigloc.localization import RowAggregates, build_sets
 from zeigloc.oracle import OracleConfig, sshopm
-from zeigloc.tensor import weak_symmetry_check
+from zeigloc.tensor import is_nonnegative, weak_symmetry_check
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -185,20 +188,25 @@ def test_removed_settings_are_usage_errors(capsys, example1_path, argv):
 
 
 def test_info_and_verify_make_one_symmetry_pass(capsys, monkeypatch, example1_path, example2_path):
+    # one weak-symmetry pass and one sign check per command
     calls = []
 
-    def counted(A, *args, **kwargs):
-        calls.append(A)
-        return weak_symmetry_check(A, *args, **kwargs)
+    def counted(fn):
+        def wrapper(A, *args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(A, *args, **kwargs)
 
-    for module in (cli_mod, bounds_mod, tensor_mod):
-        monkeypatch.setattr(module, "weak_symmetry_check", counted)
+        return wrapper
+
+    for fn in (weak_symmetry_check, is_nonnegative):
+        for module in (cli_mod, bounds_mod, tensor_mod):
+            monkeypatch.setattr(module, fn.__name__, counted(fn))
     for path in (example1_path, example2_path):
         for argv in (["info"], ["info", "--format", "structured"], ["verify", "--starts", "5"],
                      ["verify", "--starts", "5", "--format", "structured"]):
             calls.clear()
             assert run(capsys, *argv[:1], path, *argv[1:])[0] == 0
-            assert len(calls) == 1, argv
+            assert sorted(calls) == ["is_nonnegative", "weak_symmetry_check"], argv
 
 
 def test_verify_example1_exit0(capsys, example1_path):
@@ -230,7 +238,37 @@ def test_verify_corrupted_sets_fails(capsys, example1_path):
     code, out, err = run(capsys, "verify", example1_path, "--corrupt-sets")
     assert code == 1
     assert "verdict: FAIL" in out
-    assert "failed" in err
+    # the halved sets miss lambda = 5, the Omega radius; -0.2044 stays inside
+    assert err == "".join(f"failed: |5| not within {name}\n" for name in ("K", "L", "Psi", "Omega"))
+    code, out, err = run(capsys, "verify", example1_path, "--corrupt-sets", "--format", "structured")
+    assert (code, err) == (1, "")
+    ver = json.loads(out)["verification"]
+    assert ver["ok"] is False and ver["chain"]["ok"] is True
+    assert [row["sets"]["K"] for row in ver["rows"]] == [True, False]
+
+
+def readme_transcripts():
+    """(argv, stdout) of every `$ zeigloc ...` example in the README."""
+    block = (ROOT / "README.md").read_text().split("```sh\n$ zeigloc ")[1].split("```")[0]
+    for transcript in ("$ zeigloc " + block).strip().split("\n\n"):
+        command, *lines = transcript.splitlines()
+        yield command.split()[2:], "\n".join(lines) + "\n"
+
+
+def test_readme_transcripts_are_exact(capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    transcripts = list(readme_transcripts())
+    assert [argv[0] for argv, _ in transcripts] == ["sets", "bounds", "info"]
+    for argv, expected in transcripts:
+        assert run(capsys, *argv) == (0, expected, ""), argv
+
+
+@pytest.mark.parametrize("command", ["zeig", "verify"])
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tol_exits_2(capsys, example2_path, command, tol):
+    code, out, err = run(capsys, command, example2_path, "--tol", tol)
+    assert (code, out) == (2, "")
+    assert err.startswith("zeigloc: error: ") and "finite tol" in err
 
 
 def test_parse_error_exits_2(tmp_path, capsys):
