@@ -37,7 +37,6 @@ from .tensor import (
     apply,
     gradient,
     is_nonnegative,
-    is_symmetric,
     load_tensor,
     nonzero_records,
     parse_tensor,
@@ -70,7 +69,6 @@ __all__ = [
     "gradient",
     "inclusion_chain_check",
     "is_nonnegative",
-    "is_symmetric",
     "load_tensor",
     "nonzero_records",
     "parse_tensor",

@@ -11,9 +11,10 @@ the L and Psi radii; "maxR" equals the K radius.  Omega's "tilde" bound takes
 the pair's tilde quadratic, and ignores whether row i's tilde intersection is
 empty, which the set does not: "omega_max" can exceed the Omega radius.
 
-Every formula is total in the row aggregates, so the functions evaluate for
-any real tensor; whether the result bounds the spectral radius is a semantic
-question carried by the applicability flags in ``BoundReport``.
+Every formula reads only the row aggregates, which sum |A|, so a tensor and
+its entrywise absolute value get the same bounds.  They bound the spectral
+radius only when the tensor is nonnegative and weakly symmetric; the caller
+decides that from ``tensor.is_nonnegative`` and ``tensor.weak_symmetry_check``.
 """
 
 from dataclasses import dataclass, replace
@@ -21,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .localization import RowAggregates, row_aggregates
-from .tensor import Tensor, WeakSymmetryCheck, is_nonnegative, weak_symmetry_check
+from .tensor import Tensor
 
 # serialization order, loosest bound last
 BOUND_NAMES = ("omega_max", "zhao", "wang", "maxR")
@@ -44,15 +45,9 @@ class BoundReport:
     zhao: BoundValue
     wang: BoundValue
     maxR: BoundValue
-    nonnegative: bool
-    weak_symmetry: WeakSymmetryCheck
 
     def values(self) -> dict[str, float]:
         return {name: getattr(self, name).value for name in BOUND_NAMES}
-
-    @property
-    def applicable(self) -> bool:
-        return self.nonnegative and self.weak_symmetry.ok
 
 
 def _max_row_min(hi: np.ndarray) -> BoundValue:
@@ -65,11 +60,11 @@ def _max_row_min(hi: np.ndarray) -> BoundValue:
 
 
 def bound_report(A: Tensor, agg: RowAggregates | None = None) -> BoundReport:
-    """All four bounds with witnesses and applicability flags.
+    """All four bounds with their witnesses, from the row aggregates of |A|.
 
-    For a nonnegative tensor the four values must come out in nondecreasing
-    order; a violation there can only be an implementation defect, so it is
-    raised as an internal error rather than reported as data.
+    The four values must come out in nondecreasing order; a violation can
+    only be an implementation defect, so it is raised as an internal error
+    rather than reported as data.
     """
     if agg is None:
         agg = row_aggregates(A)
@@ -85,16 +80,10 @@ def bound_report(A: Tensor, agg: RowAggregates | None = None) -> BoundReport:
         zhao=_max_row_min(hi["Psi"]),
         wang=_max_row_min(hi["L"]),
         maxR=BoundValue(value=float(agg.R[i]), i=i + 1),
-        nonnegative=is_nonnegative(A),
-        weak_symmetry=weak_symmetry_check(A),
     )
-    if report.nonnegative:
-        values = [report.omega_max.value, report.zhao.value, report.wang.value, report.maxR.value]
-        slack = 1e-12 * (1.0 + report.maxR.value)
-        for smaller, larger in zip(values, values[1:]):
-            if smaller > larger + slack:
-                raise RuntimeError(
-                    "internal inconsistency: bound ordering "
-                    f"{values} violated on a nonnegative tensor"
-                )
+    values = list(report.values().values())
+    slack = 1e-12 * (1.0 + report.maxR.value)
+    for smaller, larger in zip(values, values[1:]):
+        if smaller > larger + slack:
+            raise RuntimeError(f"internal inconsistency: bound ordering {values} violated")
     return report

@@ -19,14 +19,7 @@ from .bounds import BOUND_NAMES, BoundReport, bound_report
 from .intervals import IntervalSet
 from .localization import SET_NAMES, SetReport, build_sets, inclusion_chain_check, row_aggregates
 from .oracle import OracleConfig, solve, verify_inclusion
-from .tensor import (
-    SYMMETRY_TOL,
-    Tensor,
-    TensorFormatError,
-    is_nonnegative,
-    load_tensor,
-    weak_symmetry_check,
-)
+from .tensor import Tensor, TensorFormatError, is_nonnegative, load_tensor, weak_symmetry_check
 
 BOUND_LABELS = {
     "omega_max": "two-family split row-sum bound",
@@ -35,6 +28,7 @@ BOUND_LABELS = {
     "maxR": "largest absolute row sum",
 }
 
+_SVG_SIZE = 640  # width and height of the sets drawing, in pixels
 _SVG_STYLES = {
     "K": 'stroke="#000000" stroke-width="1.5" stroke-dasharray="10 6"',
     "L": 'stroke="#2ca02c" stroke-width="1.5"',
@@ -69,7 +63,7 @@ def _info_section(A: Tensor, nonnegative: bool, wsc) -> dict:
         "dim": A.dim,
         "entry_count": A.dim**A.order,
         "nonnegative": nonnegative,
-        "symmetric": wsc.orbit_spread <= SYMMETRY_TOL,
+        "symmetric": wsc.symmetric,
         "weakly_symmetric": {
             "verdict": wsc.ok,
             "tol": wsc.tol,
@@ -97,12 +91,12 @@ def _sets_section(reports) -> list:
     return out
 
 
-def _bounds_section(rep: BoundReport) -> dict:
+def _bounds_section(rep: BoundReport, nonnegative: bool, weakly_symmetric: bool) -> dict:
     out = {}
     for name in BOUND_NAMES:  # value, i, and the witnesses j and family where present
         out[name] = {k: v for k, v in vars(getattr(rep, name)).items() if v is not None}
-    out["nonnegative"] = rep.nonnegative
-    out["weakly_symmetric"] = rep.weak_symmetry.ok
+    out["nonnegative"] = nonnegative
+    out["weakly_symmetric"] = weakly_symmetric
     return out
 
 
@@ -182,10 +176,8 @@ def _text_eigen(doc, power: bool) -> str:
 
 
 def _text_verification(doc) -> str:
-    bounds, ver = doc["bounds"], doc["verification"]
-    names = list(SET_NAMES)
-    if bounds["nonnegative"] and bounds["weakly_symmetric"]:  # the bounds were checked
-        names += BOUND_NAMES
+    ver = doc["verification"]
+    names = _cells(ver["rows"][0]) if ver["rows"] else SET_NAMES
     lines = [f"{'lambda':>10} " + " ".join(f"{n:>9}" for n in names)]
     mark = lambda b: "ok" if b else "FAIL"
     for row in ver["rows"]:
@@ -212,7 +204,8 @@ def render_plot_data(sets) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_svg(sets, eigenvalues=(), size: int = 640) -> str:
+def render_svg(sets, eigenvalues=()) -> str:
+    size = _SVG_SIZE
     radii = [entry["radius"] for entry in sets if entry["radius"] is not None]
     rmax = max(radii + [abs(v) for v in eigenvalues] + [0.0])
     scale = (size / 2.0 - 40.0) / rmax if rmax > 0 else 1.0
@@ -267,7 +260,8 @@ def _sets(A: Tensor, args) -> dict:
 
 
 def _bounds(A: Tensor, args) -> dict:
-    return {"bounds": _bounds_section(bound_report(A))}
+    weakly_symmetric = weak_symmetry_check(A).ok
+    return {"bounds": _bounds_section(bound_report(A), is_nonnegative(A), weakly_symmetric)}
 
 
 def _zeig(A: Tensor, args) -> dict:
@@ -287,13 +281,16 @@ def _verify(A: Tensor, args) -> dict:
     agg = row_aggregates(A)
     reports = build_sets(A, agg)
     bounds = bound_report(A, agg)
-    chain = inclusion_chain_check(A, reports=reports)
+    nonnegative, wsc = is_nonnegative(A), weak_symmetry_check(A)
+    chain = inclusion_chain_check(reports)
     pairs = solve(A, _oracle_cfg(args))
-    ver = verify_inclusion(pairs, _corrupted(reports) if args.corrupt_sets else reports, bounds)
+    checked = _corrupted(reports) if args.corrupt_sets else reports
+    # the bounds hold for the spectral radius of nonnegative weakly symmetric tensors only
+    ver = verify_inclusion(pairs, checked, bounds if nonnegative and wsc.ok else None)
     return {
-        "info": _info_section(A, bounds.nonnegative, bounds.weak_symmetry),
+        "info": _info_section(A, nonnegative, wsc),
         "sets": _sets_section(reports),
-        "bounds": _bounds_section(bounds),
+        "bounds": _bounds_section(bounds, nonnegative, wsc.ok),
         "eigenpairs": _eigen_section(pairs),
         "verification": {
             "rows": [
@@ -333,7 +330,7 @@ def _run(args) -> int:
         for row in ver["rows"]:
             for cell, good in _cells(row).items():
                 if not good:
-                    print(f"failed: |{row['value']:.6g}| not within {cell}", file=sys.stderr)
+                    print(f"failed: |{abs(row['value']):.6g}| not within {cell}", file=sys.stderr)
     return 1
 
 

@@ -185,16 +185,14 @@ class ChainCheck:
     violations: tuple[ChainViolation, ...]
 
 
-def inclusion_chain_check(A: Tensor, slack: float | None = None, reports=None) -> ChainCheck:
-    """Verify Omega within Psi within L within K as interval-set containment.
+def inclusion_chain_check(reports: dict[str, SetReport], slack: float | None = None) -> ChainCheck:
+    """Verify Omega within Psi within L within K, the sets ``build_sets``
+    returned, as interval-set containment.
 
     When ``slack`` is omitted it scales with the outermost radius, so one-ulp
     endpoint noise on large-magnitude tensors is not reported as a violation;
-    pass an explicit value to pin the tolerance.  ``reports`` reuses the sets
-    ``build_sets(A)`` already returned.
+    pass an explicit value to pin the tolerance.
     """
-    if reports is None:
-        reports = build_sets(A)
     if slack is None:
         outer = reports["K"].radius or 0.0
         slack = CHAIN_SLACK * (1.0 + outer)

@@ -105,14 +105,14 @@ def _axis_angle(x: np.ndarray, y: np.ndarray) -> float:
     return math.acos(d)
 
 
-def _dedupe(pairs, angle_tol: float = ANGLE_TOL):
+def _dedupe(pairs):
     """Cluster by (eigenvalue, eigenvector up to sign); keep the best residual
     per cluster and count merged members in the multiplicity."""
     kept: list[ZEigenPair] = []
     for p in sorted(pairs, key=lambda q: q.residual):
         merged = False
         for k, q in enumerate(kept):
-            if abs(p.value - q.value) <= DEDUPE_TOL and _axis_angle(p.vector, q.vector) <= angle_tol:
+            if abs(p.value - q.value) <= DEDUPE_TOL and _axis_angle(p.vector, q.vector) <= ANGLE_TOL:
                 kept[k] = replace(q, multiplicity=q.multiplicity + p.multiplicity)
                 merged = True
                 break
@@ -178,7 +178,7 @@ def circle_solve(A: Tensor) -> list[ZEigenPair]:
     g = np.append(y1[::-1], 0.0) - np.append(0.0, y2[::-1])  # descending powers of t
 
     if np.max(np.abs(g)) <= 1e-12 * (1.0 + A.max_abs_entry()):
-        kept = _dedupe(_circle_pairs(A, [np.array([1.0, 0.0])]), angle_tol=math.pi)
+        kept = _dedupe(_circle_pairs(A, [np.array([1.0, 0.0])]))
         return _sorted_pairs(replace(p, multiplicity=1) for p in kept)
 
     lines = [np.array([0.0, 1.0])] if g[0] == 0.0 else []
@@ -382,7 +382,7 @@ class VerificationRow:
     pair: ZEigenPair
     slack: float
     set_ok: dict[str, bool]
-    bound_ok: dict[str, bool] | None  # None when the bounds do not apply
+    bound_ok: dict[str, bool] | None  # None when the bounds were not checked
 
     @property
     def cells(self) -> dict[str, bool]:
@@ -396,7 +396,6 @@ class VerificationRow:
 @dataclass(frozen=True)
 class VerificationDocument:
     rows: tuple[VerificationRow, ...]
-    bounds_checked: bool
 
     @property
     def ok(self) -> bool:
@@ -404,10 +403,11 @@ class VerificationDocument:
 
 
 def verify_inclusion(
-    pairs, reports: dict[str, SetReport], bounds: BoundReport
+    pairs, reports: dict[str, SetReport], bounds: BoundReport | None
 ) -> VerificationDocument:
-    """Check every eigenpair against every set, and against every bound when
-    the tensor is nonnegative and passed the weak-symmetry test.
+    """Check every eigenpair against every set, and against every bound unless
+    ``bounds`` is None.  The bounds hold only for nonnegative weakly symmetric
+    tensors, so pass None for any other.
 
     The per-pair slack is 1e-9 + 10 * residual so that solver noise cannot
     produce spurious boundary failures.
@@ -418,14 +418,13 @@ def verify_inclusion(
                 f"eigenpair with residual {p.residual:g} exceeds {RESIDUAL_ACCEPT:g}; "
                 "refusing to verify against unconverged data"
             )
-    check_bounds = bounds.applicable
     rows = []
     for p in pairs:
         s = 1e-9 + 10.0 * p.residual
         t = abs(p.value)
         set_ok = {name: reports[name].set.contains(t, s) for name in SET_NAMES}
         bound_ok = None
-        if check_bounds:
+        if bounds is not None:
             bound_ok = {name: t <= value + s for name, value in bounds.values().items()}
         rows.append(VerificationRow(pair=p, slack=s, set_ok=set_ok, bound_ok=bound_ok))
-    return VerificationDocument(rows=tuple(rows), bounds_checked=check_bounds)
+    return VerificationDocument(rows=tuple(rows))

@@ -185,14 +185,6 @@ def is_nonnegative(A: Tensor) -> bool:
     return bool(np.all(A.entries >= 0.0))
 
 
-def is_symmetric(A: Tensor, tol: float = SYMMETRY_TOL) -> bool:
-    """True iff entries are invariant under every permutation of the index
-    tuple: the exact largest orbit spread of the weak-symmetry pass is <= tol."""
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    return weak_symmetry_check(A).orbit_spread <= tol
-
-
 # flat indices per block of the orbit-key pass: bounds its index arrays at
 # order ints per entry
 _ORBIT_BLOCK = 65536
@@ -217,6 +209,12 @@ class WeakSymmetryCheck:
     threshold: float
     tol: float
     orbit_spread: float
+
+    @property
+    def symmetric(self) -> bool:
+        """Entries invariant under every permutation of the index tuple, up to
+        ``SYMMETRY_TOL``."""
+        return self.orbit_spread <= SYMMETRY_TOL
 
 
 def weak_symmetry_check(A: Tensor) -> WeakSymmetryCheck:

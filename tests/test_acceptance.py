@@ -84,7 +84,7 @@ def test_criterion_4_inclusion_chain_500_random():
         n = (2, 3, 4)[k % 3]
         low = -1.0 if k < 250 else 0.0
         A = random_tensor(rng, m, n, low=low, high=1.0)
-        chk = inclusion_chain_check(A, slack=1e-12)
+        chk = inclusion_chain_check(build_sets(A), slack=1e-12)
         violations += len(chk.violations)
         count += 1
     elapsed = time.perf_counter() - t0

@@ -8,15 +8,19 @@ REMOVED = {
     "zeigloc": (
         "set_K", "set_L", "set_Psi", "set_Omega", "bound_maxR", "bound_wang",
         "bound_zhao", "bound_omega", "quadratic_region", "is_weakly_symmetric",
+        # WeakSymmetryCheck.symmetric is the one symmetric verdict
+        "is_symmetric",
     ),
     # numpy's reader takes record blocks; _read_record reads the ones it refuses
-    "zeigloc.tensor": ("is_weakly_symmetric", "_IndexTable", "_check_record"),
+    "zeigloc.tensor": ("is_weakly_symmetric", "_IndexTable", "_check_record", "is_symmetric"),
     "zeigloc.localization": (
         "set_K", "set_L", "set_Psi", "set_Omega", "_union", "_intersect_over_partners",
     ),
     "zeigloc.bounds": (
         "_max_min", "bound_maxR", "bound_maxR_value", "bound_wang", "bound_wang_value",
         "bound_zhao", "bound_zhao_value", "bound_omega", "bound_omega_value", "omega_bar",
+        # the bounds read |A| only; whether they apply is the caller's test
+        "is_nonnegative", "weak_symmetry_check", "WeakSymmetryCheck",
     ),
     "zeigloc.intervals": ("quadratic_region",),
     # one block contraction gives lambda and the residual of every candidate

@@ -4,15 +4,15 @@ import pathlib
 import numpy as np
 import pytest
 
-import zeigloc.bounds as bounds_mod
 import zeigloc.cli as cli_mod
 import zeigloc.localization as localization_mod
 import zeigloc.tensor as tensor_mod
+from oracles import random_symmetric_tensor
 from zeigloc.bounds import bound_report
-from zeigloc.cli import main, render_json
+from zeigloc.cli import main, render_json, render_svg
 from zeigloc.localization import RowAggregates, build_sets
 from zeigloc.oracle import OracleConfig, sshopm
-from zeigloc.tensor import is_nonnegative, weak_symmetry_check
+from zeigloc.tensor import Tensor, is_nonnegative, serialize_tensor, weak_symmetry_check
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -101,13 +101,15 @@ def test_sets_plot_data(capsys, example1_path, example1):
 def test_sets_svg(capsys, example1_path):
     code, out, _ = run(capsys, "sets", example1_path, "--format", "svg")
     assert code == 0
-    assert out.startswith("<svg")
+    assert out.startswith('<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" ')
     assert out.count("<circle") >= 4
     assert 'stroke-dasharray="10 6"' in out  # dashed outermost boundary
     assert 'stroke-width="3"' in out  # bold tightest boundary
     assert out.count("<path") >= 2  # one plus mark per eigenvalue
     for name in ("K", "L", "Psi", "Omega"):
         assert f">{name}</text>" in out
+    with pytest.raises(TypeError):  # the drawing size is fixed
+        render_svg([], size=320)
 
 
 def test_bounds_text_example2(capsys, example2_path):
@@ -188,7 +190,8 @@ def test_removed_settings_are_usage_errors(capsys, example1_path, argv):
 
 
 def test_info_and_verify_make_one_symmetry_pass(capsys, monkeypatch, example1_path, example2_path):
-    # one weak-symmetry pass and one sign check per command
+    # one weak-symmetry pass and one sign check per command; bound_report
+    # makes neither, so bounds and verify make them once for the command
     calls = []
 
     def counted(fn):
@@ -199,10 +202,11 @@ def test_info_and_verify_make_one_symmetry_pass(capsys, monkeypatch, example1_pa
         return wrapper
 
     for fn in (weak_symmetry_check, is_nonnegative):
-        for module in (cli_mod, bounds_mod, tensor_mod):
+        for module in (cli_mod, tensor_mod):
             monkeypatch.setattr(module, fn.__name__, counted(fn))
     for path in (example1_path, example2_path):
-        for argv in (["info"], ["info", "--format", "structured"], ["verify", "--starts", "5"],
+        for argv in (["info"], ["info", "--format", "structured"], ["bounds"],
+                     ["bounds", "--format", "structured"], ["verify", "--starts", "5"],
                      ["verify", "--starts", "5", "--format", "structured"]):
             calls.clear()
             assert run(capsys, *argv[:1], path, *argv[1:])[0] == 0
@@ -247,6 +251,47 @@ def test_verify_corrupted_sets_fails(capsys, example1_path):
     assert [row["sets"]["K"] for row in ver["rows"]] == [True, False]
 
 
+def test_verify_failed_lines_print_the_absolute_eigenvalue(capsys, example2_path):
+    # the halved sets miss both lambda = -9.50772 and 9.50772, each as |lambda|
+    code, _, err = run(capsys, "verify", example2_path, "--corrupt-sets")
+    assert code == 1
+    lines = [f"failed: |9.50772| not within {name}\n" for name in ("K", "L", "Psi", "Omega")]
+    assert err == "".join(lines * 2)
+
+
+def _bounds_and_verify(capsys, tmp_path, A):
+    path = tmp_path / "tensor.txt"
+    path.write_text(serialize_tensor(A))
+    code, out, _ = run(capsys, "bounds", str(path), "--format", "structured")
+    assert code == 0
+    bounds = json.loads(out)["bounds"]
+    code, out, _ = run(capsys, "verify", str(path), "--format", "structured")
+    assert code == 0
+    rows = json.loads(out)["verification"]["rows"]
+    assert rows  # something was checked
+    header = run(capsys, "verify", str(path))[1].splitlines()[0]
+    return bounds, rows, header
+
+
+def test_bounds_section_flags_signed_tensor(capsys, tmp_path):
+    # the bounds are printed for any tensor but checked only where they apply
+    A = random_symmetric_tensor(np.random.default_rng(73), 4, 2, low=-1.0)
+    bounds, rows, header = _bounds_and_verify(capsys, tmp_path, A)
+    assert (bounds["nonnegative"], bounds["weakly_symmetric"]) == (False, True)
+    assert all(row["bounds"] is None for row in rows)
+    assert header.split() == ["lambda", "K", "L", "Psi", "Omega"]
+
+
+def test_bounds_section_applicability_needs_weak_symmetry(capsys, tmp_path):
+    # A x^2 = (x1 x2, 0) against grad(x1^2 x2) / 3 = (2 x1 x2, x1^2) / 3
+    arr = np.zeros((2, 2, 2))
+    arr[0, 0, 1] = 1.0
+    bounds, rows, header = _bounds_and_verify(capsys, tmp_path, Tensor(3, 2, arr))
+    assert (bounds["nonnegative"], bounds["weakly_symmetric"]) == (True, False)
+    assert all(row["bounds"] is None for row in rows)
+    assert header.split() == ["lambda", "K", "L", "Psi", "Omega"]
+
+
 def readme_transcripts():
     """(argv, stdout) of every `$ zeigloc ...` example in the README."""
     block = (ROOT / "README.md").read_text().split("```sh\n$ zeigloc ")[1].split("```")[0]
@@ -261,6 +306,14 @@ def test_readme_transcripts_are_exact(capsys, monkeypatch):
     assert [argv[0] for argv, _ in transcripts] == ["sets", "bounds", "info"]
     for argv, expected in transcripts:
         assert run(capsys, *argv) == (0, expected, ""), argv
+
+
+def test_readme_library_example_runs(capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    code = (ROOT / "README.md").read_text().split("## Library\n\n```python\n")[1].split("```")[0]
+    exec(code, {})
+    radius, bounds = capsys.readouterr().out.splitlines()  # as the comments in the block say
+    assert radius == "5.0" and bounds.startswith("6.48") and bounds.endswith(" tilde")
 
 
 @pytest.mark.parametrize("command", ["zeig", "verify"])

@@ -213,7 +213,7 @@ def test_build_sets_order(example1):
 
 
 def test_inclusion_chain_example1(example1):
-    chk = inclusion_chain_check(example1)
+    chk = inclusion_chain_check(build_sets(example1))
     assert chk.ok and not chk.violations
     radii = [chk.radii[name] for name in ("Omega", "Psi", "L", "K")]
     assert radii == sorted(radii)
@@ -222,7 +222,7 @@ def test_inclusion_chain_example1(example1):
 
 
 def test_inclusion_chain_zero_tensor():
-    chk = inclusion_chain_check(Tensor.zeros(3, 3))
+    chk = inclusion_chain_check(build_sets(Tensor.zeros(3, 3)))
     assert chk.ok
     assert all(r == 0.0 for r in chk.radii.values())
 
@@ -234,7 +234,7 @@ def test_inclusion_chain_random_tensors():
         n = (2, 3, 4)[k % 3]
         low = -1.0 if k % 2 == 0 else 0.0
         A = random_tensor(rng, m, n, low=low, high=1.0)
-        chk = inclusion_chain_check(A, slack=1e-12)
+        chk = inclusion_chain_check(build_sets(A), slack=1e-12)
         assert chk.ok, f"chain violated: {chk.violations}"
 
 
@@ -245,7 +245,7 @@ def test_inclusion_chain_large_magnitude_entries():
         m = int(rng.integers(2, 5))
         n = int(rng.integers(2, 5))
         A = random_tensor(rng, m, n, low=-1e7, high=1e7)
-        chk = inclusion_chain_check(A)
+        chk = inclusion_chain_check(build_sets(A))
         assert chk.ok, f"chain violated: {chk.violations}"
 
 

@@ -100,14 +100,18 @@ def test_circle_solve_reports_double_root():
 
 
 def test_circle_solve_every_direction_an_eigenvector():
-    # symmetric form of (x.x)^2: A x^3 = |x|^2 x, so g vanishes identically
+    # g vanishes identically on the zero tensors, on I at order 2 and on the
+    # symmetric form of (x.x)^2, where A x^3 = |x|^2 x; the rows +-(1, 0) lie
+    # on one line and merge into one pair
     arr = np.zeros((2, 2, 2, 2))
     for i, j, k, l in itertools.product(range(2), repeat=4):
         arr[i, j, k, l] = ((i == j) * (k == l) + (i == k) * (j == l) + (i == l) * (j == k)) / 3.0
-    pairs = circle_solve(Tensor(4, 2, arr))
-    assert len(pairs) == 1
-    assert pairs[0].value == pytest.approx(1.0, abs=1e-12)
-    assert pairs[0].multiplicity == 1
+    panel = [(Tensor.zeros(m, 2), 0.0) for m in range(2, 9)]
+    panel += [(Tensor(2, 2, np.eye(2)), 1.0), (Tensor(4, 2, arr), 1.0)]
+    for A, value in panel:
+        got = [(p.value, p.vector.tolist(), p.residual, p.multiplicity, p.source)
+               for p in circle_solve(A)]
+        assert got == [(value, [1.0, 0.0], 0.0, 1, "circle")], A.order
 
 
 def test_circle_solve_matches_interpolation_reference():
@@ -448,6 +452,8 @@ def test_clustering_tolerances_are_module_constants():
             OracleConfig(**{name: 1e-3})
     with pytest.raises(TypeError):
         circle_solve(Tensor.zeros(3, 2), dedupe_tol=1e-3)
+    with pytest.raises(TypeError):
+        oracle_mod._dedupe([], angle_tol=math.pi)
 
 
 def test_power_shift_is_not_a_setting():
@@ -464,7 +470,7 @@ def test_verify_inclusion_example1(example1):
     bounds = bound_report(example1)
     pairs = circle_solve(example1)
     doc = verify_inclusion(pairs, reports, bounds)
-    assert doc.ok and doc.bounds_checked
+    assert doc.ok and not hasattr(doc, "bounds_checked")
     for row in doc.rows:
         assert set(row.set_ok) == {"K", "L", "Psi", "Omega"}
         assert set(row.bound_ok) == {"omega_max", "zhao", "wang", "maxR"}
@@ -494,12 +500,16 @@ def test_verify_inclusion_detects_violations(example1):
 
 
 def test_verify_inclusion_skips_bounds_for_signed_tensor():
+    # the caller passes no bounds where they do not apply; given bounds are checked
     rng = np.random.default_rng(89)
     A = random_tensor(rng, 4, 2, low=-1.0)
-    doc = verify_inclusion(circle_solve(A), build_sets(A), bound_report(A))
-    assert not doc.bounds_checked
+    pairs, reports = circle_solve(A), build_sets(A)
+    assert pairs
+    doc = verify_inclusion(pairs, reports, None)
     assert all(row.bound_ok is None for row in doc.rows)
     assert doc.ok  # the four sets hold for every real tensor
+    doc = verify_inclusion(pairs, reports, bound_report(A))
+    assert all(set(row.bound_ok) == set(bound_report(A).values()) for row in doc.rows)
 
 
 def test_verify_inclusion_rejects_unconverged_pairs(example1):

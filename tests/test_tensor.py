@@ -23,7 +23,6 @@ from zeigloc.tensor import (
     apply,
     gradient,
     is_nonnegative,
-    is_symmetric,
     nonzero_records,
     parse_tensor,
     polyval,
@@ -58,7 +57,7 @@ def test_parse_example2_slice_records(example2):
     A = example2
     assert A.entry((1, 2, 3)) == 3.0
     assert A.entry((2, 1, 3)) == 2.5
-    assert not is_symmetric(A)
+    assert not weak_symmetry_check(A).symmetric
 
 
 def test_parse_accepts_comments_and_blank_lines():
@@ -305,9 +304,15 @@ def test_is_nonnegative(example2):
 
 
 def test_is_symmetric(example1, example2):
-    assert is_symmetric(example1)
-    assert not is_symmetric(example2)  # a_123 = 3 vs a_213 = 2.5
-    assert is_symmetric(Tensor.zeros(3, 2))
+    assert weak_symmetry_check(example1).symmetric
+    assert not weak_symmetry_check(example2).symmetric  # a_123 = 3 vs a_213 = 2.5
+    assert weak_symmetry_check(Tensor.zeros(3, 2)).symmetric
+    # the verdict is the orbit spread against the absolute SYMMETRY_TOL
+    for delta, symmetric in ((tensor_mod.SYMMETRY_TOL, True), (2 * tensor_mod.SYMMETRY_TOL, False)):
+        arr = np.zeros((2, 2))
+        arr[0, 1] = delta
+        chk = weak_symmetry_check(Tensor(2, 2, arr))
+        assert (chk.orbit_spread, chk.symmetric) == (delta, symmetric)
 
 
 def test_is_symmetric_matches_all_permutations_max():
@@ -331,8 +336,9 @@ def test_is_symmetric_matches_all_permutations_max():
             float(np.max(np.abs(arr - np.transpose(arr, p))))
             for p in itertools.permutations(range(m))
         )
+        orbit_spread = weak_symmetry_check(A).orbit_spread
         for tol in (0.0, 1e-12, 1e-9, spread, float(np.nextafter(spread, 0.0))):
-            assert is_symmetric(A, tol) == (spread <= tol)
+            assert (orbit_spread <= tol) == (spread <= tol)
 
 
 def all_permutations_spread(arr) -> float:
@@ -353,27 +359,27 @@ def test_is_symmetric_sees_a_cross_row_spread():
         arr[0, 1, 1] = delta
         assert np.array_equal(arr, np.swapaxes(arr, 1, 2))
         A = Tensor(3, 3, arr)
-        assert weak_symmetry_check(A).orbit_spread == delta
-        for tol in (delta, float(np.nextafter(delta, 0.0))):
-            assert is_symmetric(A, tol) == (delta <= tol)
+        chk = weak_symmetry_check(A)
+        assert chk.orbit_spread == delta
+        assert chk.symmetric == (delta <= tensor_mod.SYMMETRY_TOL)
 
 
 def test_orbit_spread_matches_all_permutations_on_panel():
     for kind, A in weak_symmetry_panel():
         spread = all_permutations_spread(A.entries)
-        assert weak_symmetry_check(A).orbit_spread == spread, (kind, A)
-        for tol in (0.0, 1e-12, spread, float(np.nextafter(spread, 0.0))):
-            assert is_symmetric(A, tol) == (spread <= tol), (kind, A)
+        chk = weak_symmetry_check(A)
+        assert chk.orbit_spread == spread, (kind, A)
+        assert chk.symmetric == (spread <= tensor_mod.SYMMETRY_TOL), (kind, A)
 
 
 def test_is_symmetric_and_the_weak_check_take_entries_near_the_largest_double():
     # sums of orbit entries would overflow without the check's power-of-two scale
     big = np.full((2,) * 4, 1.5e308)
-    assert is_symmetric(Tensor(4, 2, big), tol=0.0)
-    assert weak_symmetry_check(Tensor(4, 2, big)).max_residual == 0.0
+    chk = weak_symmetry_check(Tensor(4, 2, big))
+    assert chk.orbit_spread == 0.0 and chk.symmetric and chk.max_residual == 0.0
     big[0, 0, 0, 1] = -1.5e308
     chk = weak_symmetry_check(Tensor(4, 2, big))
-    assert chk.orbit_spread == np.inf and not is_symmetric(Tensor(4, 2, big))
+    assert chk.orbit_spread == np.inf and not chk.symmetric
     assert not chk.ok and np.isfinite(chk.max_residual)
 
 
@@ -443,7 +449,7 @@ def test_weak_symmetry_matches_brute_on_panel():
             residual, rel=1e-12, abs=1e-12 * (1.0 + A.max_abs_entry())
         ), label
         if kind == "weak":
-            assert not is_symmetric(A), label
+            assert not chk.symmetric, label
 
 
 def test_weak_symmetry_in_small_blocks(monkeypatch):
