@@ -30,7 +30,6 @@ from .oracle import (
     verify_inclusion,
 )
 from .tensor import (
-    EntryRecord,
     Tensor,
     TensorFormatError,
     WeakSymmetryCheck,
@@ -38,7 +37,6 @@ from .tensor import (
     gradient,
     is_nonnegative,
     load_tensor,
-    nonzero_records,
     parse_tensor,
     polyval,
     serialize_tensor,
@@ -51,7 +49,6 @@ __all__ = [
     "BoundReport",
     "BoundValue",
     "ChainCheck",
-    "EntryRecord",
     "IntervalSet",
     "OracleConfig",
     "RowAggregates",
@@ -70,7 +67,6 @@ __all__ = [
     "inclusion_chain_check",
     "is_nonnegative",
     "load_tensor",
-    "nonzero_records",
     "parse_tensor",
     "polyval",
     "residual",

@@ -11,18 +11,18 @@ the L and Psi radii; "maxR" equals the K radius.  Omega's "tilde" bound takes
 the pair's tilde quadratic, and ignores whether row i's tilde intersection is
 empty, which the set does not: "omega_max" can exceed the Omega radius.
 
-Every formula reads only the row aggregates, which sum |A|, so a tensor and
-its entrywise absolute value get the same bounds.  They bound the spectral
-radius only when the tensor is nonnegative and weakly symmetric; the caller
-decides that from ``tensor.is_nonnegative`` and ``tensor.weak_symmetry_check``.
+``bound_report`` takes a tensor's ``RowAggregates`` and nothing else: every
+formula reads only those sums of |A|, so a tensor and its entrywise absolute
+value get the same bounds.  They bound the spectral radius only when the
+tensor is nonnegative and weakly symmetric; the caller decides that from
+``tensor.is_nonnegative`` and ``tensor.weak_symmetry_check``.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .localization import RowAggregates, row_aggregates
-from .tensor import Tensor
+from .localization import RowAggregates
 
 # serialization order, loosest bound last
 BOUND_NAMES = ("omega_max", "zhao", "wang", "maxR")
@@ -59,15 +59,13 @@ def _max_row_min(hi: np.ndarray) -> BoundValue:
     return BoundValue(value=float(row_min[i]), i=i + 1, j=int(j[i]) + 1)
 
 
-def bound_report(A: Tensor, agg: RowAggregates | None = None) -> BoundReport:
-    """All four bounds with their witnesses, from the row aggregates of |A|.
+def bound_report(agg: RowAggregates) -> BoundReport:
+    """All four bounds with their witnesses, from the row aggregates of a tensor.
 
     The four values must come out in nondecreasing order; a violation can
     only be an implementation defect, so it is raised as an internal error
     rather than reported as data.
     """
-    if agg is None:
-        agg = row_aggregates(A)
     hi = {name: pair[1] for name, pair in agg.pair_intervals.items()}
     hat, tilde = _max_row_min(hi["hat"]), _max_row_min(hi["tilde"])
     if hat.value >= tilde.value:

@@ -253,7 +253,7 @@ def _info(A: Tensor, args) -> dict:
 
 
 def _sets(A: Tensor, args) -> dict:
-    doc = {"sets": _sets_section(build_sets(A))}
+    doc = {"sets": _sets_section(build_sets(row_aggregates(A)))}
     if args.format == "svg":  # the eigenvalue marks, from the oracle at its defaults
         doc["eigenpairs"] = _eigen_section(solve(A))
     return doc
@@ -261,7 +261,8 @@ def _sets(A: Tensor, args) -> dict:
 
 def _bounds(A: Tensor, args) -> dict:
     weakly_symmetric = weak_symmetry_check(A).ok
-    return {"bounds": _bounds_section(bound_report(A), is_nonnegative(A), weakly_symmetric)}
+    bounds = bound_report(row_aggregates(A))
+    return {"bounds": _bounds_section(bounds, is_nonnegative(A), weakly_symmetric)}
 
 
 def _zeig(A: Tensor, args) -> dict:
@@ -279,8 +280,8 @@ def _corrupted(reports):
 
 def _verify(A: Tensor, args) -> dict:
     agg = row_aggregates(A)
-    reports = build_sets(A, agg)
-    bounds = bound_report(A, agg)
+    reports = build_sets(agg)
+    bounds = bound_report(agg)
     nonnegative, wsc = is_nonnegative(A), weak_symmetry_check(A)
     chain = inclusion_chain_check(reports)
     pairs = solve(A, _oracle_cfg(args))

@@ -3,7 +3,9 @@
 All four sets constrain a Z-eigenvalue z only through t = |z|, so each is
 represented exactly by its cross-section on the nonnegative radius axis.
 The building blocks are the absolute row sums R_i and their split by whether
-a chosen index j occurs among the trailing index positions.
+a chosen index j occurs among the trailing index positions.  ``row_aggregates``
+reads them off the tensor once; ``build_sets`` and ``bounds.bound_report``
+take only them.
 
 Each pair (i, j), j != i, gives one closed interval per family, so row i's
 intersection over its partners is ``[max_j lo, min_j hi]`` over ``(n, n)``
@@ -45,10 +47,6 @@ class RowAggregates:
     r_delta: np.ndarray
     r_bar: np.ndarray
     diag: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return len(self.R)
 
     @cached_property
     def pair_intervals(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -152,15 +150,14 @@ def _report(name: str, per_index: tuple[IntervalSet, ...], families=None) -> Set
     return SetReport(name, united, per_index, families)
 
 
-def build_sets(A: Tensor, agg: RowAggregates | None = None) -> dict[str, SetReport]:
-    """All four localization sets keyed by name, in chain order K, L, Psi, Omega.
+def build_sets(agg: RowAggregates) -> dict[str, SetReport]:
+    """All four localization sets of the tensor whose row aggregates are
+    ``agg``, keyed by name in chain order K, L, Psi, Omega.
 
     Each set is the union over rows i of the row's intersection over j != i.
     K's row is the disk [0, R_i]; Omega's row is the union of its "hat" and
     "tilde" rows, which ``families`` keeps.
     """
-    if agg is None:
-        agg = row_aggregates(A)
     rows = {name: _rows(lo, hi) for name, (lo, hi) in agg.pair_intervals.items()}
     omega = tuple(hat.union(tilde) for hat, tilde in zip(rows["hat"], rows["tilde"]))
     return {

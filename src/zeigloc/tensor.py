@@ -36,14 +36,6 @@ class TensorFormatError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class EntryRecord:
-    """One sparse record of the text format: a 1-based index tuple and its value."""
-
-    indices: tuple[int, ...]
-    value: float
-
-
 class Tensor:
     """Immutable dense real tensor of order ``order`` and dimension ``dim``.
 
@@ -451,27 +443,16 @@ def parse_tensor(source) -> Tensor:
     return Tensor._adopt(arr.reshape(shape))
 
 
-def _listed_entries(A: Tensor) -> tuple[list[list[int]], list[float]]:
-    """1-based index rows and values of the entries the text format lists."""
+def serialize_tensor(A: Tensor) -> str:
+    """Dense tensor back to the text format: every entry that is not +0, in
+    lexicographic index order, with 17-significant-digit values.  Negative
+    zero is listed (as ``-0``), so parsing the text reproduces the entry
+    array bitwise."""
     e = A.entries.ravel()
     flat = np.flatnonzero((e != 0) | np.signbit(e))
-    rows = np.stack(np.unravel_index(flat, A.entries.shape), axis=1) + 1
-    return rows.tolist(), e[flat].tolist()
-
-
-def nonzero_records(A: Tensor) -> list[EntryRecord]:
-    """Entries worth listing in the text format, in lexicographic index order.
-
-    Negative zero is kept (it serializes as ``-0``) so that a parse after
-    serialize reproduces the entry array bitwise.
-    """
-    return [EntryRecord(tuple(idx), v) for idx, v in zip(*_listed_entries(A))]
-
-
-def serialize_tensor(A: Tensor) -> str:
-    """Dense tensor back to the text format with 17-significant-digit values."""
+    rows = (np.stack(np.unravel_index(flat, A.entries.shape), axis=1) + 1).tolist()
     lines = [f"tensor m={A.order} n={A.dim}"]
-    lines += [f"{' '.join(map(str, idx))} {v:.17g}" for idx, v in zip(*_listed_entries(A))]
+    lines += [f"{' '.join(map(str, idx))} {v:.17g}" for idx, v in zip(rows, e[flat].tolist())]
     return "\n".join(lines) + "\n"
 
 

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from oracles import fd_gradient, random_symmetric_tensor, random_tensor
-from zeigloc.bounds import bound_report, row_aggregates
+from zeigloc.bounds import bound_report
 from zeigloc.cli import main
-from zeigloc.localization import build_sets, inclusion_chain_check
+from zeigloc.localization import build_sets, inclusion_chain_check, row_aggregates
 from zeigloc.oracle import OracleConfig, circle_solve, sshopm
 from zeigloc.tensor import apply, gradient, parse_tensor, polyval
 
@@ -32,7 +32,7 @@ def _report(num, ok, detail):
 def test_criterion_1_example1_set_radii(example1_path):
     t0 = time.perf_counter()
     A = parse_tensor(open(example1_path).read())
-    reports = build_sets(A)
+    reports = build_sets(row_aggregates(A))
     elapsed = time.perf_counter() - t0
     errors = {name: abs(reports[name].radius - want) for name, want in REFERENCE_RADII.items()}
     ok = all(e <= 5e-5 for e in errors.values()) and elapsed < 1.0
@@ -57,7 +57,7 @@ def test_criterion_2_example1_eigenvalues(example1, example1_path, capsys):
 def test_criterion_3_example2_bound_table(example2_path, capsys):
     t0 = time.perf_counter()
     A = parse_tensor(open(example2_path).read())
-    rep = bound_report(A)
+    rep = bound_report(row_aggregates(A))
     elapsed = time.perf_counter() - t0
     values = rep.values()
     errors = {name: abs(values[name] - want) for name, want in REFERENCE_BOUNDS.items()}
@@ -84,7 +84,7 @@ def test_criterion_4_inclusion_chain_500_random():
         n = (2, 3, 4)[k % 3]
         low = -1.0 if k < 250 else 0.0
         A = random_tensor(rng, m, n, low=low, high=1.0)
-        chk = inclusion_chain_check(build_sets(A), slack=1e-12)
+        chk = inclusion_chain_check(build_sets(row_aggregates(A)), slack=1e-12)
         violations += len(chk.violations)
         count += 1
     elapsed = time.perf_counter() - t0
@@ -99,7 +99,7 @@ def test_criterion_5_bound_chain_500_random_nonnegative():
         m = (3, 4)[k % 2]
         n = (2, 3, 4)[k % 3]
         A = random_tensor(rng, m, n, low=0.0, high=1.0)
-        rep = bound_report(A)
+        rep = bound_report(row_aggregates(A))
         v = rep.values()
         slack = 1e-12 * (1.0 + v["maxR"])
         chain = (v["omega_max"], v["zhao"], v["wang"], v["maxR"])
@@ -116,8 +116,8 @@ def test_criterion_6_oracle_containment_100_symmetric():
     for _ in range(100):
         A = random_symmetric_tensor(rng, 3, 3)
         agg = row_aggregates(A)
-        omega = build_sets(A, agg)["Omega"]
-        ub = bound_report(A, agg).omega_max.value
+        omega = build_sets(agg)["Omega"]
+        ub = bound_report(agg).omega_max.value
         for p in sshopm(A, cfg):
             pairs_seen += 1
             if not omega.set.contains(abs(p.value), slack=1e-6):

@@ -10,9 +10,14 @@ REMOVED = {
         "bound_zhao", "bound_omega", "quadratic_region", "is_weakly_symmetric",
         # WeakSymmetryCheck.symmetric is the one symmetric verdict
         "is_symmetric",
+        # serialize_tensor lists the entries the text format holds
+        "EntryRecord", "nonzero_records",
     ),
     # numpy's reader takes record blocks; _read_record reads the ones it refuses
-    "zeigloc.tensor": ("is_weakly_symmetric", "_IndexTable", "_check_record", "is_symmetric"),
+    "zeigloc.tensor": (
+        "is_weakly_symmetric", "_IndexTable", "_check_record", "is_symmetric",
+        "EntryRecord", "nonzero_records", "_listed_entries",
+    ),
     "zeigloc.localization": (
         "set_K", "set_L", "set_Psi", "set_Omega", "_union", "_intersect_over_partners",
     ),
@@ -21,6 +26,8 @@ REMOVED = {
         "bound_zhao", "bound_zhao_value", "bound_omega", "bound_omega_value", "omega_bar",
         # the bounds read |A| only; whether they apply is the caller's test
         "is_nonnegative", "weak_symmetry_check", "WeakSymmetryCheck",
+        # bound_report takes the row aggregates, not the tensor
+        "Tensor", "row_aggregates",
     ),
     "zeigloc.intervals": ("quadratic_region",),
     # one block contraction gives lambda and the residual of every candidate

@@ -17,42 +17,42 @@ EX2_WANG = (18.0 + math.sqrt(366.0)) / 2.0
 
 
 def test_bound_maxR(example1, example2):
-    assert bound_report(example2).maxR.value == 19.0
-    assert bound_report(example1).maxR.value == 6.75
-    assert bound_report(Tensor.zeros(3, 3)).maxR.value == 0.0
+    assert bound_report(row_aggregates(example2)).maxR.value == 19.0
+    assert bound_report(row_aggregates(example1)).maxR.value == 6.75
+    assert bound_report(row_aggregates(Tensor.zeros(3, 3))).maxR.value == 0.0
 
 
 def test_bound_wang_example2(example2):
-    value = bound_report(example2).wang.value
+    value = bound_report(row_aggregates(example2)).wang.value
     assert value == pytest.approx(EX2_WANG, abs=1e-12)
     assert value == pytest.approx(18.5656, abs=5e-5)
 
 
 def test_bound_zhao_example2(example2):
-    value = bound_report(example2).zhao.value
+    value = bound_report(row_aggregates(example2)).zhao.value
     assert value == pytest.approx(EX2_ZHAO, abs=1e-12)
     assert value == pytest.approx(15.2580, abs=5e-5)
 
 
 def test_bound_omega_example2(example2):
-    value = bound_report(example2).omega_max.value
+    value = bound_report(row_aggregates(example2)).omega_max.value
     assert value == pytest.approx(EX2_OMEGA, abs=1e-12)
     assert value == pytest.approx(14.9410, abs=5e-5)
 
 
 def test_bound_omega_example1_families(example1):
-    bv = bound_report(example1).omega_max
+    bv = bound_report(row_aggregates(example1)).omega_max
     assert bv.value == 5.0
     # the box family tops out at 4.75, the quadratic family reaches 5 at the
     # pair (2, 1), whose upper root is exactly 5
     assert (bv.family, bv.i, bv.j) == ("tilde", 2, 1)
-    families = build_sets(example1)["Omega"].families
+    families = build_sets(row_aggregates(example1))["Omega"].families
     assert max(row.sup() for row in families["hat"]) == 4.75
     assert families["tilde"][1] == IntervalSet.closed(4.75, 5.0)
 
 
 def test_bounds_zero_tensor():
-    values = bound_report(Tensor.zeros(4, 2)).values()
+    values = bound_report(row_aggregates(Tensor.zeros(4, 2))).values()
     assert values == {name: 0.0 for name in BOUND_NAMES}
 
 
@@ -60,7 +60,7 @@ def test_ties_go_to_smallest_index():
     # every pair term ties: the zero tensor (hat and tilde tie at 0 too) and
     # the all-ones tensor (tilde's 9 beats hat's 4)
     for arr, family in ((np.zeros((3, 3, 3)), "hat"), (np.ones((3, 3, 3)), "tilde")):
-        rep = bound_report(Tensor(3, 3, arr))
+        rep = bound_report(row_aggregates(Tensor(3, 3, arr)))
         for name in ("omega_max", "zhao", "wang"):
             assert (getattr(rep, name).i, getattr(rep, name).j) == (1, 2), name
         assert (rep.maxR.i, rep.maxR.j) == (1, None)
@@ -68,7 +68,7 @@ def test_ties_go_to_smallest_index():
 
 
 def test_bound_report_example2(example2):
-    rep = bound_report(example2)
+    rep = bound_report(row_aggregates(example2))
     values = rep.values()
     assert list(values) == list(BOUND_NAMES)
     assert values["omega_max"] == pytest.approx(14.9410, abs=5e-5)
@@ -83,7 +83,7 @@ def test_bound_report_example2(example2):
 
 
 def test_bound_report_example1(example1):
-    rep = bound_report(example1)
+    rep = bound_report(row_aggregates(example1))
     assert rep.omega_max.value == pytest.approx(5.0, abs=5e-5)
     assert rep.zhao.value == pytest.approx(6.3161, abs=5e-5)
     assert rep.wang.value == pytest.approx(6.4827, abs=5e-5)
@@ -94,7 +94,7 @@ def test_chain_ordering_on_random_nonnegative_tensors():
     rng = np.random.default_rng(59)
     for _ in range(200):
         A = random_tensor(rng, int(rng.integers(3, 5)), int(rng.integers(2, 5)), low=0.0)
-        rep = bound_report(A)
+        rep = bound_report(row_aggregates(A))
         v = rep.values()
         slack = 1e-12 * (1.0 + v["maxR"])
         assert v["omega_max"] <= v["zhao"] + slack
@@ -105,10 +105,10 @@ def test_chain_ordering_on_random_nonnegative_tensors():
 def test_positive_scaling_equivariance():
     rng = np.random.default_rng(61)
     A = random_tensor(rng, 3, 4, low=0.0)
-    base = bound_report(A).values()
+    base = bound_report(row_aggregates(A)).values()
     for s in (0.25, 7.0, 1e4):
         B = Tensor(A.order, A.dim, s * A.entries)
-        scaled = bound_report(B).values()
+        scaled = bound_report(row_aggregates(B)).values()
         for name in BOUND_NAMES:
             assert scaled[name] == pytest.approx(s * base[name], rel=1e-12)
 
@@ -127,7 +127,7 @@ def test_bounds_equal_set_radii():
             entries *= rng.uniform(size=entries.shape) < 0.3
         A = Tensor(m, n, entries)
         agg = row_aggregates(A)
-        sets, rep = build_sets(A, agg), bound_report(A, agg)
+        sets, rep = build_sets(agg), bound_report(agg)
         assert rep.maxR.value == sets["K"].radius
         assert rep.wang.value == sets["L"].radius
         assert rep.zhao.value == sets["Psi"].radius
@@ -143,9 +143,9 @@ def test_bound_omega_dominates_set_omega_radius():
     for _ in range(100):
         A = random_tensor(rng, int(rng.integers(3, 5)), int(rng.integers(2, 5)), low=0.0)
         agg = row_aggregates(A)
-        radius = build_sets(A, agg)["Omega"].radius
+        radius = build_sets(agg)["Omega"].radius
         assert radius is not None
-        assert bound_report(A, agg).omega_max.value >= radius - 1e-12 * (1.0 + radius)
+        assert bound_report(agg).omega_max.value >= radius - 1e-12 * (1.0 + radius)
 
 
 def test_n2_bounds_equal_set_radii_exactly():
@@ -154,7 +154,7 @@ def test_n2_bounds_equal_set_radii_exactly():
         for _ in range(25):
             A = random_tensor(rng, m, 2)
             agg = row_aggregates(A)
-            sets, rep = build_sets(A, agg), bound_report(A, agg)
+            sets, rep = build_sets(agg), bound_report(agg)
             assert rep.zhao.value == sets["Psi"].radius
             assert rep.wang.value == sets["L"].radius
 
@@ -168,7 +168,8 @@ def test_omega_bound_ignores_empty_tilde_rows():
     for idx in ((1, 0, 1), (1, 1, 0), (2, 0, 0), (2, 2, 2)):
         arr[idx] = 1.0
     A = Tensor(3, 3, arr)
-    sets, rep = build_sets(A), bound_report(A)
+    agg = row_aggregates(A)
+    sets, rep = build_sets(agg), bound_report(agg)
     assert sets["Omega"].set == IntervalSet.closed(0.0, 0.0)
     assert sets["Omega"].families["tilde"][2].is_empty
     assert (rep.omega_max.value, rep.omega_max.i, rep.omega_max.j) == (1.0, 3, 1)
@@ -187,7 +188,8 @@ def test_signed_tensor_has_the_bounds_of_its_absolute_value():
         if k % 4 == 3:  # sparse draws, where ties decide the witnesses
             entries *= rng.uniform(size=entries.shape) < 0.3
         A = Tensor(m, n, entries)
-        assert bound_report(A) == bound_report(Tensor(m, n, np.abs(entries))), (m, n, k)
+        abs_agg = row_aggregates(Tensor(m, n, np.abs(entries)))
+        assert bound_report(row_aggregates(A)) == bound_report(abs_agg), (m, n, k)
 
 
 def test_ordering_violation_raises_internal_error(example2, monkeypatch):
@@ -201,7 +203,7 @@ def test_ordering_violation_raises_internal_error(example2, monkeypatch):
 
     monkeypatch.setattr(localization_mod, "_pair_intervals", inflated)
     with pytest.raises(RuntimeError, match="internal inconsistency"):
-        bound_report(example2)
+        bound_report(row_aggregates(example2))
 
 
 def test_symmetric_nonnegative_oracle_domination_smoke():
@@ -211,6 +213,6 @@ def test_symmetric_nonnegative_oracle_domination_smoke():
     rng = np.random.default_rng(79)
     for _ in range(5):
         A = random_symmetric_tensor(rng, 3, 3)
-        ub = bound_report(A).omega_max.value
+        ub = bound_report(row_aggregates(A)).omega_max.value
         for p in sshopm(A, OracleConfig(starts=6, seed=5)):
             assert abs(p.value) <= ub + 1e-6

@@ -10,7 +10,8 @@ import zeigloc.tensor as tensor_mod
 from oracles import random_symmetric_tensor
 from zeigloc.bounds import bound_report
 from zeigloc.cli import main, render_json, render_svg
-from zeigloc.localization import RowAggregates, build_sets
+from zeigloc.intervals import IntervalSet
+from zeigloc.localization import RowAggregates, SetReport, build_sets, row_aggregates
 from zeigloc.oracle import OracleConfig, sshopm
 from zeigloc.tensor import Tensor, is_nonnegative, serialize_tensor, weak_symmetry_check
 
@@ -68,7 +69,7 @@ def test_sets_structured_full_precision(capsys, example1_path, example1):
     code, out, _ = run(capsys, "sets", example1_path, "--format", "structured")
     assert code == 0
     doc = json.loads(out)
-    reports = build_sets(example1)
+    reports = build_sets(row_aggregates(example1))
     by_name = {entry["name"]: entry for entry in doc["sets"]}
     assert list(by_name) == ["K", "L", "Psi", "Omega"]
     for name, rep in reports.items():
@@ -92,7 +93,7 @@ def test_sets_plot_data(capsys, example1_path, example1):
     assert lines[0] == "set,inner_radius,outer_radius"
     rows = [line.split(",") for line in lines[1:]]
     assert [r[0] for r in rows] == ["K", "L", "Psi", "Omega"]
-    reports = build_sets(example1)
+    reports = build_sets(row_aggregates(example1))
     for name, inner, outer in rows:
         lo, hi = reports[name].set.intervals[0]
         assert float(inner) == lo and float(outer) == hi
@@ -128,7 +129,7 @@ def test_bounds_structured_field_order(capsys, example2_path, example2):
     assert code == 0
     doc = json.loads(out)
     assert list(doc["bounds"])[:4] == ["omega_max", "zhao", "wang", "maxR"]
-    rep = bound_report(example2)
+    rep = bound_report(row_aggregates(example2))
     for name, bv in (("omega_max", rep.omega_max), ("zhao", rep.zhao), ("wang", rep.wang)):
         assert doc["bounds"][name]["value"] == bv.value
         assert doc["bounds"][name]["i"] == bv.i
@@ -213,6 +214,25 @@ def test_info_and_verify_make_one_symmetry_pass(capsys, monkeypatch, example1_pa
             assert sorted(calls) == ["is_nonnegative", "weak_symmetry_check"], argv
 
 
+def test_sets_bounds_and_verify_make_one_aggregates_pass(capsys, monkeypatch, example1_path):
+    # each command computes the row aggregates once and hands them to the layers
+    calls = []
+
+    def counted(A):
+        calls.append(A)
+        return row_aggregates(A)
+
+    for module in (cli_mod, localization_mod):
+        monkeypatch.setattr(module, "row_aggregates", counted)
+    formats = {"sets": ("text", "structured", "plot-data", "svg"),
+               "bounds": ("text", "structured"), "verify": ("text", "structured")}
+    for command, fmts in formats.items():
+        for fmt in fmts:
+            calls.clear()
+            assert run(capsys, command, example1_path, "--format", fmt)[0] == 0
+            assert len(calls) == 1, (command, fmt)
+
+
 def test_verify_example1_exit0(capsys, example1_path):
     code, out, _ = run(capsys, "verify", example1_path)
     assert code == 0
@@ -249,6 +269,28 @@ def test_verify_corrupted_sets_fails(capsys, example1_path):
     ver = json.loads(out)["verification"]
     assert ver["ok"] is False and ver["chain"]["ok"] is True
     assert [row["sets"]["K"] for row in ver["rows"]] == [True, False]
+
+
+def test_verify_reports_chain_violation(capsys, monkeypatch, example1_path):
+    # an Omega wider than Psi holds every eigenvalue, so only the chain fails
+    def wide_omega(agg):
+        reports = build_sets(agg)
+        omega = reports["Omega"]
+        wide = IntervalSet.closed(0.0, 100.0)
+        return {**reports, "Omega": SetReport("Omega", wide, omega.per_index, omega.families)}
+
+    monkeypatch.setattr(cli_mod, "build_sets", wide_omega)
+    code, out, err = run(capsys, "verify", example1_path)
+    assert (code, err) == (1, "")
+    assert "  violation: Omega interval [0, 100] not inside Psi\n" in out
+    assert out.endswith("verdict: FAIL\n")
+    code, out, err = run(capsys, "verify", example1_path, "--format", "structured")
+    assert (code, err) == (1, "")
+    ver = json.loads(out)["verification"]
+    assert ver["chain"]["ok"] is False and ver["ok"] is False
+    expected = {"inner": "Omega", "outer": "Psi", "interval": [0.0, 100.0]}
+    assert ver["chain"]["violations"] == [expected]
+    assert all(all(row["sets"].values()) for row in ver["rows"])
 
 
 def test_verify_failed_lines_print_the_absolute_eigenvalue(capsys, example2_path):

@@ -119,13 +119,13 @@ def test_pair_intervals_built_once_per_aggregates(example2, example2_path, monke
 
     monkeypatch.setattr(localization_mod, "_pair_intervals", counted)
     agg = row_aggregates(example2)
-    build_sets(example2, agg)
-    bound_report(example2, agg)
-    build_sets(example2, agg)
+    build_sets(agg)
+    bound_report(agg)
+    build_sets(agg)
     assert built == [agg]
     for lo, hi in agg.pair_intervals.values():
         assert not lo.flags.writeable and not hi.flags.writeable
-    build_sets(example2)  # fresh aggregates, fresh kernel
+    build_sets(row_aggregates(example2))  # fresh aggregates, fresh kernel
     assert len(built) == 2
     built.clear()
     assert main(["verify", example2_path, "--format", "structured"]) == 0
@@ -137,16 +137,16 @@ def test_pair_intervals_built_once_per_aggregates(example2, example2_path, monke
 
 
 def test_set_K(example1, example2):
-    rep = build_sets(example1)["K"]
+    rep = build_sets(row_aggregates(example1))["K"]
     assert rep.radius == 6.75  # equals max row sum exactly
     assert rep.radius == pytest.approx(6.7500, abs=5e-5)
     assert rep.per_index[0] == IntervalSet.closed(0.0, 4.75)
-    assert build_sets(example2)["K"].radius == 19.0
-    assert build_sets(Tensor.zeros(3, 3))["K"].set == IntervalSet.closed(0.0, 0.0)
+    assert build_sets(row_aggregates(example2))["K"].radius == 19.0
+    assert build_sets(row_aggregates(Tensor.zeros(3, 3)))["K"].set == IntervalSet.closed(0.0, 0.0)
 
 
 def test_set_L_example1(example1):
-    rep = build_sets(example1)["L"]
+    rep = build_sets(row_aggregates(example1))["L"]
     assert rep.radius == pytest.approx(EX1_L_RADIUS, abs=1e-12)
     assert rep.radius == pytest.approx(6.4827, abs=5e-5)
     # row 1 region: entry a_1222 is zero, so the region is the plain row disk
@@ -154,17 +154,17 @@ def test_set_L_example1(example1):
 
 
 def test_set_L_zero_and_diagonal():
-    assert build_sets(Tensor.zeros(3, 2))["L"].set == IntervalSet.closed(0.0, 0.0)
+    assert build_sets(row_aggregates(Tensor.zeros(3, 2)))["L"].set == IntervalSet.closed(0.0, 0.0)
     arr = np.zeros((3, 3, 3))
     d = [2.0, 0.5, 1.0]
     for i in range(3):
         arr[i, i, i] = d[i]
     A = Tensor(3, 3, arr)
-    assert build_sets(A)["L"].radius == max(d)
+    assert build_sets(row_aggregates(A))["L"].radius == max(d)
 
 
 def test_set_Psi_example1(example1):
-    rep = build_sets(example1)["Psi"]
+    rep = build_sets(row_aggregates(example1))["Psi"]
     assert rep.radius == pytest.approx(EX1_PSI_RADIUS, abs=1e-12)
     assert rep.radius == pytest.approx(6.3161, abs=5e-5)
     # the pair (i=2, j=1) alone gives the radius
@@ -172,11 +172,11 @@ def test_set_Psi_example1(example1):
 
 
 def test_set_Psi_zero():
-    assert build_sets(Tensor.zeros(4, 2))["Psi"].set == IntervalSet.closed(0.0, 0.0)
+    assert build_sets(row_aggregates(Tensor.zeros(4, 2)))["Psi"].set == IntervalSet.closed(0.0, 0.0)
 
 
 def test_set_Omega_example1(example1):
-    rep = build_sets(example1)["Omega"]
+    rep = build_sets(row_aggregates(example1))["Omega"]
     assert rep.set == IntervalSet.closed(0.0, 5.0)
     assert rep.radius == pytest.approx(5.0000, abs=5e-5)
     hat = rep.families["hat"]
@@ -189,7 +189,7 @@ def test_set_Omega_example1(example1):
 
 
 def test_set_Omega_zero():
-    rep = build_sets(Tensor.zeros(3, 3))["Omega"]
+    rep = build_sets(row_aggregates(Tensor.zeros(3, 3)))["Omega"]
     assert rep.set == IntervalSet.closed(0.0, 0.0)
 
 
@@ -197,12 +197,12 @@ def test_diagonal_pair_never_limits_a_row():
     # the self pair (3, 3) has tilde roots 0 and r_bar + r_delta, but rounds
     # its lower root to 4.4e-16; row 3's partners all reach down to 0
     A = random_tensor(np.random.default_rng(133), 3, 3, low=0.0)
-    tilde = build_sets(A)["Omega"].families["tilde"]
+    tilde = build_sets(row_aggregates(A))["Omega"].families["tilde"]
     assert tilde[2].intervals[0][0] == 0.0
 
 
 def test_build_sets_order(example1):
-    reports = build_sets(example1)
+    reports = build_sets(row_aggregates(example1))
     assert tuple(reports) == SET_NAMES
     for name, rep in reports.items():
         assert rep.name == name
@@ -213,7 +213,7 @@ def test_build_sets_order(example1):
 
 
 def test_inclusion_chain_example1(example1):
-    chk = inclusion_chain_check(build_sets(example1))
+    chk = inclusion_chain_check(build_sets(row_aggregates(example1)))
     assert chk.ok and not chk.violations
     radii = [chk.radii[name] for name in ("Omega", "Psi", "L", "K")]
     assert radii == sorted(radii)
@@ -222,7 +222,7 @@ def test_inclusion_chain_example1(example1):
 
 
 def test_inclusion_chain_zero_tensor():
-    chk = inclusion_chain_check(build_sets(Tensor.zeros(3, 3)))
+    chk = inclusion_chain_check(build_sets(row_aggregates(Tensor.zeros(3, 3))))
     assert chk.ok
     assert all(r == 0.0 for r in chk.radii.values())
 
@@ -234,7 +234,7 @@ def test_inclusion_chain_random_tensors():
         n = (2, 3, 4)[k % 3]
         low = -1.0 if k % 2 == 0 else 0.0
         A = random_tensor(rng, m, n, low=low, high=1.0)
-        chk = inclusion_chain_check(build_sets(A), slack=1e-12)
+        chk = inclusion_chain_check(build_sets(row_aggregates(A)), slack=1e-12)
         assert chk.ok, f"chain violated: {chk.violations}"
 
 
@@ -245,7 +245,7 @@ def test_inclusion_chain_large_magnitude_entries():
         m = int(rng.integers(2, 5))
         n = int(rng.integers(2, 5))
         A = random_tensor(rng, m, n, low=-1e7, high=1e7)
-        chk = inclusion_chain_check(build_sets(A))
+        chk = inclusion_chain_check(build_sets(row_aggregates(A)))
         assert chk.ok, f"chain violated: {chk.violations}"
 
 
@@ -253,14 +253,14 @@ def test_scaling_covariance():
     rng = np.random.default_rng(47)
     A = random_tensor(rng, 3, 3)
     agg = row_aggregates(A)
-    radii = {name: rep.radius for name, rep in build_sets(A, agg).items()}
+    radii = {name: rep.radius for name, rep in build_sets(agg).items()}
     for s in (0.5, 3.0, 1e3):
         B = Tensor(A.order, A.dim, s * A.entries)
         agg_s = row_aggregates(B)
         assert np.allclose(agg_s.R, s * agg.R, rtol=1e-12)
         assert np.allclose(agg_s.r_delta, s * agg.r_delta, rtol=1e-12, atol=0)
         assert np.allclose(agg_s.r_bar, s * agg.r_bar, rtol=1e-12, atol=1e-300)
-        for name, rep in build_sets(B, agg_s).items():
+        for name, rep in build_sets(agg_s).items():
             assert rep.radius == pytest.approx(s * radii[name], rel=1e-12)
 
 
@@ -268,19 +268,20 @@ def test_radius_monotone_under_entry_growth():
     rng = np.random.default_rng(53)
     for _ in range(40):
         A = random_tensor(rng, int(rng.integers(3, 5)), int(rng.integers(2, 4)))
-        before = {name: rep.radius for name, rep in build_sets(A).items()}
+        before = {name: rep.radius for name, rep in build_sets(row_aggregates(A)).items()}
         arr = A.entries.copy()
         pos = tuple(rng.integers(0, A.dim, size=A.order))
         sign = 1.0 if arr[pos] >= 0 else -1.0
         arr[pos] = sign * (abs(arr[pos]) + rng.uniform(0.1, 2.0))
-        after = {name: rep.radius for name, rep in build_sets(Tensor(A.order, A.dim, arr)).items()}
+        grown = row_aggregates(Tensor(A.order, A.dim, arr))
+        after = {name: rep.radius for name, rep in build_sets(grown).items()}
         for name in SET_NAMES:
             assert after[name] >= before[name] - 1e-12 * (1.0 + before[name])
 
 
 def test_n2_single_partner_intersection(example1):
     # n = 2 leaves one j per row: per-row sets are single quadratic regions
-    reports = build_sets(example1)
+    reports = build_sets(row_aggregates(example1))
     for name in ("L", "Psi"):
         for row_set in reports[name].per_index:
             assert len(row_set.intervals) == 1

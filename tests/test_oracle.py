@@ -16,7 +16,7 @@ from oracles import (
     scalar_sshopm,
 )
 from zeigloc.bounds import bound_report
-from zeigloc.localization import build_sets
+from zeigloc.localization import build_sets, row_aggregates
 from zeigloc.oracle import (
     ANGLE_TOL,
     DEDUPE_TOL,
@@ -466,8 +466,8 @@ def test_power_shift_is_not_a_setting():
 
 
 def test_verify_inclusion_example1(example1):
-    reports = build_sets(example1)
-    bounds = bound_report(example1)
+    agg = row_aggregates(example1)
+    reports, bounds = build_sets(agg), bound_report(agg)
     pairs = circle_solve(example1)
     doc = verify_inclusion(pairs, reports, bounds)
     assert doc.ok and not hasattr(doc, "bounds_checked")
@@ -478,8 +478,8 @@ def test_verify_inclusion_example1(example1):
 
 def test_verify_inclusion_boundary_eigenvalue_within_slack(example1):
     # the top eigenvalue sits exactly on the Omega boundary
-    reports = build_sets(example1)
-    bounds = bound_report(example1)
+    agg = row_aggregates(example1)
+    reports, bounds = build_sets(agg), bound_report(agg)
     pairs = [p for p in circle_solve(example1) if abs(p.value - 5.0) < 1e-6]
     doc = verify_inclusion(pairs, reports, bounds)
     assert doc.ok
@@ -489,12 +489,12 @@ def test_verify_inclusion_detects_violations(example1):
     from zeigloc.intervals import IntervalSet
     from zeigloc.localization import SetReport
 
-    reports = build_sets(example1)
+    reports = build_sets(row_aggregates(example1))
     shrunk = {
         name: SetReport(name, IntervalSet.closed(0.0, 0.1), rep.per_index)
         for name, rep in reports.items()
     }
-    doc = verify_inclusion(circle_solve(example1), shrunk, bound_report(example1))
+    doc = verify_inclusion(circle_solve(example1), shrunk, bound_report(row_aggregates(example1)))
     assert not doc.ok
     assert not all(row.set_ok["K"] for row in doc.rows)
 
@@ -503,27 +503,29 @@ def test_verify_inclusion_skips_bounds_for_signed_tensor():
     # the caller passes no bounds where they do not apply; given bounds are checked
     rng = np.random.default_rng(89)
     A = random_tensor(rng, 4, 2, low=-1.0)
-    pairs, reports = circle_solve(A), build_sets(A)
+    agg = row_aggregates(A)
+    pairs, reports = circle_solve(A), build_sets(agg)
     assert pairs
     doc = verify_inclusion(pairs, reports, None)
     assert all(row.bound_ok is None for row in doc.rows)
     assert doc.ok  # the four sets hold for every real tensor
-    doc = verify_inclusion(pairs, reports, bound_report(A))
-    assert all(set(row.bound_ok) == set(bound_report(A).values()) for row in doc.rows)
+    doc = verify_inclusion(pairs, reports, bound_report(agg))
+    assert all(set(row.bound_ok) == set(bound_report(agg).values()) for row in doc.rows)
 
 
 def test_verify_inclusion_rejects_unconverged_pairs(example1):
     bad = ZEigenPair(value=1.0, vector=np.array([1.0, 0.0]), residual=1e-3, source="fake")
     with pytest.raises(ValueError, match="residual"):
-        verify_inclusion([bad], build_sets(example1), bound_report(example1))
+        agg = row_aggregates(example1)
+        verify_inclusion([bad], build_sets(agg), bound_report(agg))
 
 
 def test_random_symmetric_eigenpairs_live_in_every_set():
     rng = np.random.default_rng(97)
     for _ in range(10):
         A = random_symmetric_tensor(rng, 3, 3)
-        reports = build_sets(A)
-        bounds = bound_report(A)
+        agg = row_aggregates(A)
+        reports, bounds = build_sets(agg), bound_report(agg)
         pairs = sshopm(A, OracleConfig(starts=5, seed=23))
         doc = verify_inclusion(pairs, reports, bounds)
         assert doc.ok

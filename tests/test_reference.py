@@ -10,7 +10,7 @@ import numpy as np
 
 from oracles import brute_bound_terms, brute_bounds, brute_row_aggregates, brute_sets
 from zeigloc.bounds import BOUND_NAMES, bound_report
-from zeigloc.localization import SET_NAMES, build_sets
+from zeigloc.localization import SET_NAMES, build_sets, row_aggregates
 from zeigloc.tensor import Tensor
 
 RTOL = 1e-12
@@ -57,7 +57,8 @@ def assert_witness(name, got, want, A, tol, what):
 
 
 def check_against_reference(A, what):
-    reports = build_sets(A)
+    agg = row_aggregates(A)
+    reports = build_sets(agg)
     ref = brute_sets(A.entries)
     tol = RTOL * (1.0 + float(np.abs(A.entries).sum(axis=tuple(range(1, A.order))).max()))
     for name in SET_NAMES:
@@ -72,7 +73,7 @@ def check_against_reference(A, what):
         for family, want_fam_rows in (want_families or {}).items():
             for i, (got_row, want_row) in enumerate(zip(rep.families[family], want_fam_rows)):
                 assert_sets_close(got_row, want_row, tol, f"{what} {family} row {i + 1}")
-    bounds = bound_report(A)
+    bounds = bound_report(agg)
     want = brute_bounds(A.entries)
     for name in BOUND_NAMES:
         got = getattr(bounds, name)

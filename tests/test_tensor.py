@@ -23,7 +23,6 @@ from zeigloc.tensor import (
     apply,
     gradient,
     is_nonnegative,
-    nonzero_records,
     parse_tensor,
     polyval,
     serialize_tensor,
@@ -123,6 +122,16 @@ def test_parse_rejects_tiny_and_huge_shapes():
         Tensor.zeros(1, 3)
 
 
+def test_constructor_refuses_wrong_shape_and_non_finite_entries():
+    with pytest.raises(ValueError, match=r"entries shape \(2, 3\) does not match"):
+        Tensor(2, 2, np.zeros((2, 3)))
+    for bad in (np.nan, np.inf, -np.inf):
+        arr = np.ones((2, 2, 2))
+        arr[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            Tensor(3, 2, arr)
+
+
 def test_serialize_round_trip_is_bitwise(example1, example2):
     rng = np.random.default_rng(7)
     tensors = [example1, example2, random_tensor(rng, 3, 4), random_tensor(rng, 4, 2)]
@@ -140,16 +149,16 @@ def test_serialize_keeps_negative_zero():
 
 def test_symmetrizing_already_symmetric_changes_nothing(example1):
     # feed the densified entries back through the symmetric-flag path
-    records = "\n".join(
-        " ".join(str(i) for i in r.indices) + f" {r.value:.17g}" for r in nonzero_records(example1)
-    )
-    B = parse_tensor(f"tensor m=4 n=2 symmetric\n{records}\n")
+    records = serialize_tensor(example1).split("\n", 1)[1]
+    B = parse_tensor(f"tensor m=4 n=2 symmetric\n{records}")
     assert example1.entries.tobytes() == B.entries.tobytes()
 
 
 def test_nonzero_records_in_lexicographic_order(example2):
-    recs = [r.indices for r in nonzero_records(example2)]
-    assert recs == sorted(recs)
+    # the records serialize_tensor lists, one per line after the header
+    body = serialize_tensor(example2).splitlines()[1:]
+    recs = [tuple(map(int, line.split()[:-1])) for line in body]
+    assert len(recs) == np.count_nonzero(example2.entries) and recs == sorted(recs)
 
 
 def test_entries_are_immutable(example1):
