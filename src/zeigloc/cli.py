@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Subcommands: info, sets, bounds, zeig, verify.  Each command builds one
-structured document, ``meta`` plus its sections, and every output format
-renders from it.  The structured format prints the document as one JSON line,
-each value at full precision (the shortest decimal that reads back as the
-same double); the tables print the same values at 4 decimals; the plot-data
-and svg formats of ``sets`` draw its sets section.
+Subcommands: info, sets, bounds, zeig, verify.  Each command is a list of
+sections over one run record, which computes each layer on first use and at
+most once.  ``meta`` plus the sections make one structured document, and
+every output format renders from it.  The structured format prints the
+document as one JSON line, each value at full precision (the shortest decimal
+that reads back as the same double); the tables print the same values at 4
+decimals; the plot-data and svg formats of ``sets`` draw its sets section.
 Exit codes: 0 success or verified, 1 verification failure, 2 input error.
 """
 
@@ -15,11 +16,11 @@ import json
 import sys
 
 from . import __version__
-from .bounds import BOUND_NAMES, BoundReport, bound_report
+from .bounds import BOUND_NAMES, bound_report
 from .intervals import IntervalSet
 from .localization import SET_NAMES, SetReport, build_sets, inclusion_chain_check, row_aggregates
 from .oracle import OracleConfig, solve, verify_inclusion
-from .tensor import Tensor, TensorFormatError, is_nonnegative, load_tensor, weak_symmetry_check
+from .tensor import TensorFormatError, is_nonnegative, load_tensor, weak_symmetry_check
 
 BOUND_LABELS = {
     "omega_max": "two-family split row-sum bound",
@@ -54,29 +55,48 @@ def _fmt(v) -> str:
     return "-" if v is None else f"{v:.4f}"
 
 
-# ------------------------------------------------------------- doc sections
+# ------------------------------------------------ run record and doc sections
 
 
-def _info_section(A: Tensor, nonnegative: bool, wsc) -> dict:
+class _Run:
+    """One command's run: the tensor, the oracle settings, and each layer,
+    computed on first use and at most once."""
+
+    def __init__(self, args):
+        self.args = args
+        self.A = load_tensor(args.path)
+        # only zeig and verify take oracle options; the svg marks of sets use the defaults
+        opts = "starts" in args
+        self.cfg = OracleConfig(args.starts, args.max_iter, args.tol, args.seed) if opts else None
+
+    agg = functools.cached_property(lambda self: row_aggregates(self.A))
+    sets = functools.cached_property(lambda self: build_sets(self.agg))
+    bounds = functools.cached_property(lambda self: bound_report(self.agg))
+    nonnegative = functools.cached_property(lambda self: is_nonnegative(self.A))
+    wsc = functools.cached_property(lambda self: weak_symmetry_check(self.A))
+    pairs = functools.cached_property(lambda self: solve(self.A, self.cfg))
+
+
+def _info_section(run: _Run) -> dict:
     return {
-        "order": A.order,
-        "dim": A.dim,
-        "entry_count": A.dim**A.order,
-        "nonnegative": nonnegative,
-        "symmetric": wsc.symmetric,
+        "order": run.A.order,
+        "dim": run.A.dim,
+        "entry_count": run.A.dim**run.A.order,
+        "nonnegative": run.nonnegative,
+        "symmetric": run.wsc.symmetric,
         "weakly_symmetric": {
-            "verdict": wsc.ok,
-            "tol": wsc.tol,
-            "max_residual": wsc.max_residual,
-            "threshold": wsc.threshold,
+            "verdict": run.wsc.ok,
+            "tol": run.wsc.tol,
+            "max_residual": run.wsc.max_residual,
+            "threshold": run.wsc.threshold,
         },
     }
 
 
-def _sets_section(reports) -> list:
+def _sets_section(run: _Run) -> list:
     out = []
     for name in SET_NAMES:
-        rep = reports[name]
+        rep = run.sets[name]
         entry = {
             "name": name,
             "intervals": rep.set.intervals,
@@ -91,16 +111,16 @@ def _sets_section(reports) -> list:
     return out
 
 
-def _bounds_section(rep: BoundReport, nonnegative: bool, weakly_symmetric: bool) -> dict:
+def _bounds_section(run: _Run) -> dict:
     out = {}
     for name in BOUND_NAMES:  # value, i, and the witnesses j and family where present
-        out[name] = {k: v for k, v in vars(getattr(rep, name)).items() if v is not None}
-    out["nonnegative"] = nonnegative
-    out["weakly_symmetric"] = weakly_symmetric
+        out[name] = {k: v for k, v in vars(getattr(run.bounds, name)).items() if v is not None}
+    out["nonnegative"] = run.nonnegative
+    out["weakly_symmetric"] = run.wsc.ok
     return out
 
 
-def _eigen_section(pairs) -> list:
+def _eigen_section(run: _Run) -> list:
     return [
         {
             "value": p.value,
@@ -109,8 +129,46 @@ def _eigen_section(pairs) -> list:
             "multiplicity": p.multiplicity,
             "source": p.source,
         }
-        for p in pairs
+        for p in run.pairs
     ]
+
+
+def _corrupted(reports):
+    # test hook: shrink every set so containment checks must fail
+    out = {}
+    for name, rep in reports.items():
+        halved = IntervalSet((lo * 0.5, hi * 0.5) for lo, hi in rep.set.intervals)
+        out[name] = SetReport(name, halved, rep.per_index, rep.families)
+    return out
+
+
+def _verification_section(run: _Run) -> dict:
+    chain = inclusion_chain_check(run.sets)
+    checked = _corrupted(run.sets) if run.args.corrupt_sets else run.sets
+    # the bounds hold for the spectral radius of nonnegative weakly symmetric tensors only
+    applies = run.nonnegative and run.wsc.ok
+    ver = verify_inclusion(run.pairs, checked, run.bounds if applies else None)
+    return {
+        "rows": [
+            {"value": r.pair.value, "slack": r.slack, "sets": r.set_ok, "bounds": r.bound_ok}
+            for r in ver.rows
+        ],
+        "chain": {
+            "ok": chain.ok,
+            "radii": chain.radii,
+            "violations": [vars(v) for v in chain.violations],
+        },
+        "ok": ver.ok and chain.ok,
+    }
+
+
+_SECTIONS = {
+    "info": _info_section,
+    "sets": _sets_section,
+    "bounds": _bounds_section,
+    "eigenpairs": _eigen_section,
+    "verification": _verification_section,
+}
 
 
 def _cells(row: dict) -> dict:
@@ -244,76 +302,15 @@ def render_svg(sets, eigenvalues=()) -> str:
 # ------------------------------------------------------------ subcommands
 
 
-def _oracle_cfg(args) -> OracleConfig:
-    return OracleConfig(args.starts, args.max_iter, args.tol, args.seed)
-
-
-def _info(A: Tensor, args) -> dict:
-    return {"info": _info_section(A, is_nonnegative(A), weak_symmetry_check(A))}
-
-
-def _sets(A: Tensor, args) -> dict:
-    doc = {"sets": _sets_section(build_sets(row_aggregates(A)))}
-    if args.format == "svg":  # the eigenvalue marks, from the oracle at its defaults
-        doc["eigenpairs"] = _eigen_section(solve(A))
-    return doc
-
-
-def _bounds(A: Tensor, args) -> dict:
-    weakly_symmetric = weak_symmetry_check(A).ok
-    bounds = bound_report(row_aggregates(A))
-    return {"bounds": _bounds_section(bounds, is_nonnegative(A), weakly_symmetric)}
-
-
-def _zeig(A: Tensor, args) -> dict:
-    return {"eigenpairs": _eigen_section(solve(A, _oracle_cfg(args)))}
-
-
-def _corrupted(reports):
-    # test hook: shrink every set so containment checks must fail
-    out = {}
-    for name, rep in reports.items():
-        halved = IntervalSet((lo * 0.5, hi * 0.5) for lo, hi in rep.set.intervals)
-        out[name] = SetReport(name, halved, rep.per_index, rep.families)
-    return out
-
-
-def _verify(A: Tensor, args) -> dict:
-    agg = row_aggregates(A)
-    reports = build_sets(agg)
-    bounds = bound_report(agg)
-    nonnegative, wsc = is_nonnegative(A), weak_symmetry_check(A)
-    chain = inclusion_chain_check(reports)
-    pairs = solve(A, _oracle_cfg(args))
-    checked = _corrupted(reports) if args.corrupt_sets else reports
-    # the bounds hold for the spectral radius of nonnegative weakly symmetric tensors only
-    ver = verify_inclusion(pairs, checked, bounds if nonnegative and wsc.ok else None)
-    return {
-        "info": _info_section(A, nonnegative, wsc),
-        "sets": _sets_section(reports),
-        "bounds": _bounds_section(bounds, nonnegative, wsc.ok),
-        "eigenpairs": _eigen_section(pairs),
-        "verification": {
-            "rows": [
-                {"value": r.pair.value, "slack": r.slack, "sets": r.set_ok, "bounds": r.bound_ok}
-                for r in ver.rows
-            ],
-            "chain": {
-                "ok": chain.ok,
-                "radii": chain.radii,
-                "violations": [vars(v) for v in chain.violations],
-            },
-            "ok": ver.ok and chain.ok,
-        },
-    }
-
-
 def _run(args) -> int:
     """Build the command's document, print it in the chosen format, and
     return 1 when its verification failed."""
-    A = load_tensor(args.path)
+    run = _Run(args)
+    sections = args.sections
+    if args.format == "svg":  # the eigenvalue marks, from the oracle at its defaults
+        sections += ("eigenpairs",)
     meta = {"command": args.command, "input": args.path, "version": __version__}
-    doc = {"meta": meta, **args.sections(A, args)}
+    doc = {"meta": meta, **{name: _SECTIONS[name](run) for name in sections}}
     if args.format == "structured":
         print(render_json(doc))
     elif args.format == "plot-data":
@@ -321,7 +318,7 @@ def _run(args) -> int:
     elif args.format == "svg":
         sys.stdout.write(render_svg(doc["sets"], [p["value"] for p in doc["eigenpairs"]]))
     elif args.command == "zeig":
-        print(_text_eigen(doc, power=A.dim != 2))
+        print(_text_eigen(doc, power=run.A.dim != 2))
     else:
         print(args.text(doc))
     ver = doc.get("verification")
@@ -364,26 +361,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("info", help="structural predicates of the tensor")
     _add_common(sub, ("text", "structured"))
-    sub.set_defaults(sections=_info, text=_text_info)
+    sub.set_defaults(sections=("info",), text=_text_info)
 
     sub = subs.add_parser("sets", help="localization sets K, L, Psi, Omega")
     _add_common(sub, ("text", "structured", "plot-data", "svg"))
-    sub.set_defaults(sections=_sets, text=_text_sets)
+    sub.set_defaults(sections=("sets",), text=_text_sets)
 
     sub = subs.add_parser("bounds", help="spectral-radius upper bounds")
     _add_common(sub, ("text", "structured"))
-    sub.set_defaults(sections=_bounds, text=_text_bounds)
+    sub.set_defaults(sections=("bounds",), text=_text_bounds)
 
     sub = subs.add_parser("zeig", help="Z-eigenpairs from the desk-scale oracle")
     _add_common(sub, ("text", "structured"))
     _add_oracle_opts(sub)
-    sub.set_defaults(sections=_zeig)
+    sub.set_defaults(sections=("eigenpairs",))
 
     sub = subs.add_parser("verify", help="check eigenvalues against sets and bounds")
     _add_common(sub, ("text", "structured"))
     _add_oracle_opts(sub)
     sub.add_argument("--corrupt-sets", action="store_true", help=argparse.SUPPRESS)
-    sub.set_defaults(sections=_verify, text=_text_verification)
+    sub.set_defaults(sections=tuple(_SECTIONS), text=_text_verification)
     return parser
 
 

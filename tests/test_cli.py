@@ -4,8 +4,10 @@ import pathlib
 import numpy as np
 import pytest
 
+import zeigloc.bounds as bounds_mod
 import zeigloc.cli as cli_mod
 import zeigloc.localization as localization_mod
+import zeigloc.oracle as oracle_mod
 import zeigloc.tensor as tensor_mod
 from oracles import random_symmetric_tensor
 from zeigloc.bounds import bound_report
@@ -13,7 +15,7 @@ from zeigloc.cli import main, render_json, render_svg
 from zeigloc.intervals import IntervalSet
 from zeigloc.localization import RowAggregates, SetReport, build_sets, row_aggregates
 from zeigloc.oracle import OracleConfig, sshopm
-from zeigloc.tensor import Tensor, is_nonnegative, serialize_tensor, weak_symmetry_check
+from zeigloc.tensor import Tensor, serialize_tensor, weak_symmetry_check
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -113,6 +115,15 @@ def test_sets_svg(capsys, example1_path):
         render_svg([], size=320)
 
 
+def test_sets_svg_marks_the_pairs_of_zeig_at_its_defaults(capsys, example2_path):
+    # n = 3: the marks come from the power method, at the settings zeig defaults to
+    svg = run(capsys, "sets", example2_path, "--format", "svg")[1]
+    sets = json.loads(run(capsys, "sets", example2_path, "--format", "structured")[1])["sets"]
+    pairs = json.loads(run(capsys, "zeig", example2_path, "--format", "structured")[1])["eigenpairs"]
+    assert svg.count("<path") == len(pairs) == 6
+    assert svg == render_svg(sets, [p["value"] for p in pairs])
+
+
 def test_bounds_text_example2(capsys, example2_path):
     code, out, _ = run(capsys, "bounds", example2_path)
     assert code == 0
@@ -190,47 +201,62 @@ def test_removed_settings_are_usage_errors(capsys, example1_path, argv):
     assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
-def test_info_and_verify_make_one_symmetry_pass(capsys, monkeypatch, example1_path, example2_path):
-    # one weak-symmetry pass and one sign check per command; bound_report
-    # makes neither, so bounds and verify make them once for the command
+# the library calls a command makes, each exactly once; every command loads the tensor
+_CALLED = {
+    "info": {"is_nonnegative", "weak_symmetry_check"},
+    "sets": {"row_aggregates", "build_sets"},
+    "bounds": {"row_aggregates", "bound_report", "is_nonnegative", "weak_symmetry_check"},
+    "zeig": {"solve"},
+    "verify": {"row_aggregates", "build_sets", "bound_report", "is_nonnegative",
+               "weak_symmetry_check", "solve", "inclusion_chain_check", "verify_inclusion"},
+}
+
+
+@pytest.fixture
+def layer_calls(monkeypatch):
+    """The names of the library functions called, patched in cli and in the
+    module that defines each, so nested calls are counted too."""
     calls = []
 
     def counted(fn):
-        def wrapper(A, *args, **kwargs):
+        def wrapper(*args, **kwargs):
             calls.append(fn.__name__)
-            return fn(A, *args, **kwargs)
+            return fn(*args, **kwargs)
 
         return wrapper
 
-    for fn in (weak_symmetry_check, is_nonnegative):
-        for module in (cli_mod, tensor_mod):
-            monkeypatch.setattr(module, fn.__name__, counted(fn))
+    defined_in = {tensor_mod: ("load_tensor", "is_nonnegative", "weak_symmetry_check"),
+                  localization_mod: ("row_aggregates", "build_sets", "inclusion_chain_check"),
+                  bounds_mod: ("bound_report",), oracle_mod: ("solve", "verify_inclusion")}
+    for module, names in defined_in.items():
+        for name in names:
+            wrapper = counted(getattr(module, name))
+            monkeypatch.setattr(module, name, wrapper)
+            monkeypatch.setattr(cli_mod, name, wrapper)
+    return calls
+
+
+def test_each_command_calls_each_layer_it_needs_once(capsys, layer_calls, example1_path,
+                                                     example2_path):
+    formats = {"info": ("text", "structured"), "sets": ("text", "structured", "plot-data"),
+               "bounds": ("text", "structured"), "zeig": ("text", "structured"),
+               "verify": ("text", "structured")}
+    cases = [(cmd, fmt, _CALLED[cmd]) for cmd, fmts in formats.items() for fmt in fmts]
+    cases.append(("sets", "svg", _CALLED["sets"] | {"solve"}))  # the eigenvalue marks
     for path in (example1_path, example2_path):
-        for argv in (["info"], ["info", "--format", "structured"], ["bounds"],
-                     ["bounds", "--format", "structured"], ["verify", "--starts", "5"],
-                     ["verify", "--starts", "5", "--format", "structured"]):
-            calls.clear()
-            assert run(capsys, *argv[:1], path, *argv[1:])[0] == 0
-            assert sorted(calls) == ["is_nonnegative", "weak_symmetry_check"], argv
+        for command, fmt, expected in cases:
+            layer_calls.clear()
+            assert run(capsys, command, path, "--format", fmt)[0] == 0
+            assert sorted(layer_calls) == sorted({"load_tensor"} | expected), (command, fmt)
 
 
-def test_sets_bounds_and_verify_make_one_aggregates_pass(capsys, monkeypatch, example1_path):
-    # each command computes the row aggregates once and hands them to the layers
-    calls = []
-
-    def counted(A):
-        calls.append(A)
-        return row_aggregates(A)
-
-    for module in (cli_mod, localization_mod):
-        monkeypatch.setattr(module, "row_aggregates", counted)
-    formats = {"sets": ("text", "structured", "plot-data", "svg"),
-               "bounds": ("text", "structured"), "verify": ("text", "structured")}
-    for command, fmts in formats.items():
-        for fmt in fmts:
-            calls.clear()
-            assert run(capsys, command, example1_path, "--format", fmt)[0] == 0
-            assert len(calls) == 1, (command, fmt)
+@pytest.mark.parametrize("argv", [["verify", "--tol", "nan"], ["zeig", "--max-iter", "0"]],
+                         ids=" ".join)
+def test_bad_oracle_options_exit_2_before_any_layer(capsys, layer_calls, example2_path, argv):
+    code, out, err = run(capsys, argv[0], example2_path, *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == "zeigloc: error: OracleConfig needs starts >= 1, max_iter >= 1, finite tol > 0\n"
+    assert layer_calls == ["load_tensor"]
 
 
 def test_verify_example1_exit0(capsys, example1_path):
@@ -345,7 +371,7 @@ def readme_transcripts():
 def test_readme_transcripts_are_exact(capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     transcripts = list(readme_transcripts())
-    assert [argv[0] for argv, _ in transcripts] == ["sets", "bounds", "info"]
+    assert [argv[0] for argv, _ in transcripts] == ["sets", "bounds", "info", "verify"]
     for argv, expected in transcripts:
         assert run(capsys, *argv) == (0, expected, ""), argv
 
