@@ -250,6 +250,30 @@ def test_each_command_calls_each_layer_it_needs_once(capsys, layer_calls, exampl
             assert sorted(layer_calls) == sorted({"load_tensor"} | expected), (command, fmt)
 
 
+def test_info_and_verify_make_one_symmetry_pass(capsys, layer_calls, example1_path, example2_path):
+    # one weak-symmetry pass and one sign check per command; bound_report
+    # makes neither, so bounds and verify make them once for the command
+    checks = {"is_nonnegative", "weak_symmetry_check"}
+    for path in (example1_path, example2_path):
+        for argv in (["info"], ["info", "--format", "structured"], ["bounds"],
+                     ["bounds", "--format", "structured"], ["verify", "--starts", "5"],
+                     ["verify", "--starts", "5", "--format", "structured"]):
+            layer_calls.clear()
+            assert run(capsys, *argv[:1], path, *argv[1:])[0] == 0
+            assert sorted(c for c in layer_calls if c in checks) == sorted(checks), argv
+
+
+def test_sets_bounds_and_verify_make_one_aggregates_pass(capsys, layer_calls, example1_path):
+    # each command computes the row aggregates once and hands them to the layers
+    formats = {"sets": ("text", "structured", "plot-data", "svg"),
+               "bounds": ("text", "structured"), "verify": ("text", "structured")}
+    for command, fmts in formats.items():
+        for fmt in fmts:
+            layer_calls.clear()
+            assert run(capsys, command, example1_path, "--format", fmt)[0] == 0
+            assert layer_calls.count("row_aggregates") == 1, (command, fmt)
+
+
 @pytest.mark.parametrize("argv", [["verify", "--tol", "nan"], ["zeig", "--max-iter", "0"]],
                          ids=" ".join)
 def test_bad_oracle_options_exit_2_before_any_layer(capsys, layer_calls, example2_path, argv):
