@@ -3,6 +3,12 @@ eigenpair oracle for dense real tensors."""
 
 __version__ = "0.1.0"
 
+from numpy import __version__ as _numpy_version
+
+# numpy 1.x reads a float-spelled index such as "1.5" as 1; numpy 2 refuses it
+if int(_numpy_version.split(".")[0]) < 2:
+    raise ImportError(f"zeigloc requires numpy >= 2.0, found numpy {_numpy_version}")
+
 from .bounds import (
     BOUND_NAMES,
     BoundReport,

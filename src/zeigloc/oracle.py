@@ -10,7 +10,7 @@ eigenpair up to the residual gate, which is all the inclusion checks need.
 Both tiers contract the tensor with a block of vectors at once through
 ``tensor._apply_block``: the power step iterates a block of runs, the polish
 takes one Newton step for a block of runs with the Jacobians contracted
-from ``tensor._jacobian_tensor`` (summed once per polish),
+from ``tensor._jacobian_tensor`` (summed once per ``sshopm`` call),
 and the candidate directions of either tier, the roots' lines or the runs'
 last iterates, pass the gate as one block, with lambda = x . A x^(m-1) and
 the residual ||A x^(m-1) - lambda x|| from the same contraction.
@@ -270,9 +270,10 @@ def _solve_rows(M, b):
         return out
 
 
-def _newton_block(entries, X, tol):
+def _newton_block(entries, jac, X, tol):
     """Polish the unit rows of X by Newton's method on F(x, lambda) from
     lambda = x . A x^(m-1); return the polished rows, rescaled to unit length.
+    ``jac`` is ``_jacobian_tensor(entries)``.
 
     A step solves the bordered (S, n+1, n+1) systems [[J - lambda I, -x],
     [x^T, 0]] (dx, dlambda) = -F of the live rows in one call, with J the
@@ -287,7 +288,6 @@ def _newton_block(entries, X, tol):
     lam = np.matmul(X[:, None, :], Y[:, :, None]).ravel()
     F, norm = _eigen_residual(X, Y, lam)
     live = np.flatnonzero(np.any(F[:, :-1], axis=1))
-    jac = _jacobian_tensor(entries) if live.size else None
     for _ in range(_NEWTON_STEPS):
         if not live.size:
             break
@@ -319,7 +319,8 @@ def sshopm(A: Tensor, cfg: OracleConfig | None = None) -> list[ZEigenPair]:
     ||x_k+1 - x_k|| <= sqrt(tol), on an image of norm < 1e-300 (keeping the
     current iterate) or at max_iter.  The runs that stopped on the step
     converge quadratically in ``_newton_block``, which stops a run on a
-    Newton step ||dx|| <= tol; the other runs keep their last iterate.  Only
+    Newton step ||dx|| <= tol; the other runs keep their last iterate.  The
+    tensor of the Jacobians is summed once per call, for every chunk.  Only
     candidates passing the residual gate are returned, deduplicated up to
     eigenvector sign.
 
@@ -344,12 +345,13 @@ def sshopm(A: Tensor, cfg: OracleConfig | None = None) -> list[ZEigenPair]:
     # doubles of one run's intermediates: A x^(m-1) on the way down to length n
     chunk = max(1, _BLOCK_DOUBLES // sum(A.dim**k for k in range(1, A.order)))
     hand_off = math.sqrt(cfg.tol)
+    jac = _jacobian_tensor(A.entries)
     candidates, how = [], []
     for lo in range(0, len(X), chunk):
         last, stopped = _power_block(A.entries, X[lo : lo + chunk], sign[lo : lo + chunk],
                                      alpha, hand_off, cfg.max_iter)
         polish = stopped == _CONVERGED
-        last[polish] = _newton_block(A.entries, last[polish], cfg.tol)
+        last[polish] = _newton_block(A.entries, jac, last[polish], cfg.tol)
         candidates += _gated_pairs(A, last, "sshopm")
         how.append(stopped)
     how = np.concatenate(how)

@@ -215,10 +215,12 @@ def weak_symmetry_check(A: Tensor) -> WeakSymmetryCheck:
     Coefficient by coefficient the identity says: for every row i and tail
     tuple t, the mean of a[i, .] over the permutations of t equals the mean
     of a over the permutations of (i, t).  One pass over the entries keyed by
-    (row, sorted tail) gives every tail orbit's mean, max and min.  The orbit
-    of a sorted m-tuple s is the union over p of {s[p]} x (the orbit of s
-    without s[p]), so the m tail orbits at (s[p], s without s[p]) give its
-    mean and its exact spread (max - min) with no second pass.
+    (row, sorted tail) gives every tail orbit's mean (a ``bincount``), max and
+    min (an unbuffered ``np.maximum.at`` / ``np.minimum.at`` scatter from -inf
+    and +inf, with no sort).  The orbit of a sorted m-tuple s is the union
+    over p of {s[p]} x (the orbit of s without s[p]), so the m tail orbits at
+    (s[p], s without s[p]) give its mean and its exact spread (max - min)
+    with no second pass.
     ``max_residual`` is the largest difference of the two means, and the
     verdict compares it against ``WEAK_SYMMETRY_TOL * (1 + max |entry|)``.
     """
@@ -233,14 +235,14 @@ def weak_symmetry_check(A: Tensor) -> WeakSymmetryCheck:
     rank = np.searchsorted(sorted_flat, keys)
     tails = np.unravel_index(sorted_flat, tail_shape)
     counts = np.bincount(rank)
-    by_rank, starts = np.argsort(rank, kind="stable"), np.cumsum(counts) - counts
     # means of entries scaled by a power of two: exact, and no sum of m! of them overflows
     scale = 2.0 ** min(0, 1020 - math.frexp(A.max_abs_entry())[1] - math.factorial(m).bit_length())
     tables = np.empty((3, n, sorted_flat.size))
+    tables[1], tables[2] = -np.inf, np.inf
     for i, row in enumerate(A.entries.reshape(n, -1)):
         tables[0, i] = np.bincount(rank, row * scale, sorted_flat.size)
-        grouped = row[by_rank]
-        tables[1:, i] = np.maximum.reduceat(grouped, starts), np.minimum.reduceat(grouped, starts)
+        np.maximum.at(tables[1, i], rank, row)
+        np.minimum.at(tables[2, i], rank, row)
     tables[0] /= counts
     tables = tables.reshape(3, -1)  # column i * orbits + r
 
@@ -276,26 +278,7 @@ def weak_symmetry_check(A: Tensor) -> WeakSymmetryCheck:
 
 # raw lines per parser block: bounds the record array numpy's reader builds
 _PARSE_BLOCK = 8192
-
-
-def _reads_float_spelled_integers() -> bool:
-    """True if numpy's reader accepts "1.5" for an integer field, as numpy 1.x
-    does (truncated, with a DeprecationWarning); newer numpy refuses it."""
-    try:
-        np.loadtxt(["1.5"], dtype=np.intp)
-    except ValueError:
-        return False
-    except Warning:  # that DeprecationWarning under an "error" filter
-        pass
-    return True
-
-
-# a line numpy's reader might not read as the per-line reader does: not blank,
-# a comment, or m integers of at most 9 ASCII digits (no int32 overflow) and a value
-_ODD_INDEX_LINE = r"\n(?![ \t]*(?:#|\n|$)|[ \t]*(?:[+-]?[0-9]{{1,9}}[ \t]+){{{m}}}[^\s#])"
-# where numpy's reader truncates float-spelled integers, such a line sends its
-# block to the per-line reader
-_SCREEN_INDICES = _reads_float_spelled_integers()
+# a body line that holds a record: neither blank nor only a comment
 _RECORD_LINE = re.compile(r"\n[^\S\n]*[^\s#]")
 
 
@@ -360,10 +343,7 @@ def _parse_block(lines: list[str], order: int, dim: int):
     """((records, order) 1-based indices, values) of a block of body lines from
     numpy's C reader; None if it refuses the block, or an index is outside
     1..dim or a value not finite.  No warning filter is touched or relied on."""
-    text = "\n" + "\n".join(lines)
-    if _SCREEN_INDICES and re.search(_ODD_INDEX_LINE.format(m=order), text):
-        return None
-    if _RECORD_LINE.search(text) is None:  # numpy's reader would warn "no data"
+    if _RECORD_LINE.search("\n" + "\n".join(lines)) is None:  # loadtxt would warn "no data"
         return np.zeros((0, order), np.intp), np.zeros(0)
     dtype = [("i", np.intp, (order,)), ("v", float)]
     try:

@@ -1,4 +1,8 @@
 import importlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import zeigloc
 
@@ -17,6 +21,8 @@ REMOVED = {
     "zeigloc.tensor": (
         "is_weakly_symmetric", "_IndexTable", "_check_record", "is_symmetric",
         "EntryRecord", "nonzero_records", "_listed_entries",
+        # numpy 2, the floor, refuses a float-spelled index itself
+        "_reads_float_spelled_integers", "_ODD_INDEX_LINE", "_SCREEN_INDICES",
     ),
     "zeigloc.localization": (
         "set_K", "set_L", "set_Psi", "set_Omega", "_union", "_intersect_over_partners",
@@ -47,3 +53,15 @@ def test_removed_names_are_gone():
         for name in names:
             assert not hasattr(mod, name), f"{module}.{name}"
             assert name not in getattr(mod, "__all__", ())
+
+
+def test_import_refuses_numpy_1():
+    # a checkout run through PYTHONPATH=src with numpy 1.x, which would read
+    # the index "1.5" as 1, stops at the import
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    code = 'import numpy; numpy.__version__ = "1.26.4"; import zeigloc'
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode != 0
+    assert proc.stderr.splitlines()[-1] == (
+        "ImportError: zeigloc requires numpy >= 2.0, found numpy 1.26.4"
+    )

@@ -323,21 +323,29 @@ def test_sshopm_chunked_block_matches_unchunked(monkeypatch):
     panel = [random_symmetric_tensor(rng, 3, 4), random_tensor(rng, 4, 3), random_tensor(rng, 5, 3)]
     cfg = OracleConfig(starts=7, seed=13)
     whole = [sshopm(A, cfg) for A in panel]
-    blocks = []
-    block = oracle_mod._power_block
+    blocks, jacobians = [], []
+    block, jacobian = oracle_mod._power_block, oracle_mod._jacobian_tensor
 
     def counted(entries, X, *args):
         blocks.append(len(X))
         return block(entries, X, *args)
 
+    def counted_jacobian(entries):
+        jacobians.append(entries.shape)
+        return jacobian(entries)
+
     monkeypatch.setattr(oracle_mod, "_power_block", counted)
+    monkeypatch.setattr(oracle_mod, "_jacobian_tensor", counted_jacobian)
     for A, want in zip(panel, whole):
         # three runs' intermediates per chunk: 14 runs in 5 chunks
         per_run = sum(A.dim**k for k in range(1, A.order))
         monkeypatch.setattr(oracle_mod, "_BLOCK_DOUBLES", 3 * per_run)
         blocks.clear()
+        jacobians.clear()
         got = sshopm(A, cfg)
         assert blocks == [3, 3, 3, 3, 2]
+        # the Jacobian tensor is summed once per call, not once per chunk
+        assert jacobians == [A.entries.shape]
         # a one-row block goes through gemv, not gemm: equal up to rounding
         assert len(got) == len(want)
         for p, q in zip(got, want):
@@ -419,15 +427,17 @@ def test_newton_block_skips_singular_rows():
     entries = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
     X = np.array([[1.0, 0.0, 0.0], [1e-6, 0.0, 1.0]])
     X[1] /= np.linalg.norm(X[1])
+    jac = oracle_mod._jacobian_tensor(entries)
     with np.errstate(all="raise"):
-        out = oracle_mod._newton_block(entries, X, 1e-10)
+        out = oracle_mod._newton_block(entries, jac, X, 1e-10)
     assert np.array_equal(out[0], [1.0, 0.0, 0.0])
     assert np.abs(out[1] - [0.0, 0.0, 1.0]).max() <= 1e-15
-    assert oracle_mod._newton_block(entries, X[:0], 1e-10).shape == (0, 3)
+    assert oracle_mod._newton_block(entries, jac, X[:0], 1e-10).shape == (0, 3)
     # nearly singular: the step to (1, -1e290) overflows the residual, and is not taken
     e1 = np.array([[1.0, 0.0]])
+    entries = np.array([[0.0, 0.0], [1e-10, 1e-300]])
     with np.errstate(all="raise"):
-        out = oracle_mod._newton_block(np.array([[0.0, 0.0], [1e-10, 1e-300]]), e1, 1e-10)
+        out = oracle_mod._newton_block(entries, oracle_mod._jacobian_tensor(entries), e1, 1e-10)
     assert np.array_equal(out, e1)
 
 

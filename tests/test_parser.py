@@ -310,58 +310,15 @@ def test_parse_leaves_other_threads_warnings_alone(monkeypatch):
     assert caught and {str(w.message) for w in caught} == {"from another thread"}
 
 
-REAL_LOADTXT = np.loadtxt
-
-
-def truncating_loadtxt(lines, dtype, **kwargs):
-    """np.loadtxt as numpy 1.x reads an integer field: a float spelling is
-    read as the float, truncated, with a DeprecationWarning."""
-    dtype = np.dtype(dtype)
-    floats = [(k, float, dtype[k].shape) for k in dtype.names] if dtype.names else float
-    read = REAL_LOADTXT(lines, dtype=floats, **kwargs)
-    warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
-    with np.errstate(invalid="ignore"):
-        return read.astype(dtype)
-
-
-def refusing_loadtxt(lines, dtype, **kwargs):
-    """np.loadtxt as numpy 2 reads a float spelling in an integer field."""
-    raise ValueError(f"could not convert string {lines[0]!r} to {np.dtype(dtype)}")
-
-
-def test_float_spelled_index_probe(monkeypatch):
-    # the installed numpy's answer, whichever numpy it is, is the one taken at
-    # import and does not depend on the warning filters
-    for action in ("ignore", "error"):
-        with warnings.catch_warnings():
-            warnings.simplefilter(action)
-            assert tensor_module._reads_float_spelled_integers() == tensor_module._SCREEN_INDICES
-    for loadtxt, reads in ((truncating_loadtxt, True), (refusing_loadtxt, False)):
-        monkeypatch.setattr(np, "loadtxt", loadtxt)
-        for action in ("ignore", "error"):
-            with warnings.catch_warnings():
-                warnings.simplefilter(action)
-                assert tensor_module._reads_float_spelled_integers() is reads
-
-
 @pytest.mark.parametrize("block", [3, 8192])
-def test_reader_that_truncates_float_indices_is_screened(monkeypatch, block):
-    # with numpy 1.x's reader, blocks whose index fields are not plain
-    # integers go to the per-line reader, whatever the warning filters say
+def test_float_spelled_index_is_refused(monkeypatch, block):
+    # numpy's reader refuses a float spelling in an integer field, and the
+    # per-line reader names the line
     monkeypatch.setattr(tensor_module, "_PARSE_BLOCK", block)
-    monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
-    monkeypatch.setattr(tensor_module, "_SCREEN_INDICES", True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for line in ("1.5 2 0.5", "1.0 2 0.5", "1e0\t2 0.5", "  +1.  2 0.5 # c"):
-            text = f"tensor m=2 n=2\n2 2 4.0\n{line}\n1 1 1.0\n"
-            assert assert_same_outcome(text) == (
-                "error", f"non-integer index in {line.split('#')[0].strip()!r} (line 3)", (3,))
-        for _, text in panel(7):
-            assert_same_outcome(text)
-        # unscreened, the truncating reader takes 1.5 for 1
-        monkeypatch.setattr(tensor_module, "_SCREEN_INDICES", False)
-        assert parse_tensor("tensor m=2 n=2\n1.5 2 0.5\n").entry((1, 2)) == 0.5
+    for line in ("1.5 2 0.5", "1.0 2 0.5", "1e0\t2 0.5", "  +1.  2 0.5 # c"):
+        text = f"tensor m=2 n=2\n2 2 4.0\n{line}\n1 1 1.0\n"
+        assert assert_same_outcome(text) == (
+            "error", f"non-integer index in {line.split('#')[0].strip()!r} (line 3)", (3,))
 
 
 def test_index_beyond_int64_is_out_of_range():
