@@ -3,11 +3,17 @@ eigenpair oracle for dense real tensors."""
 
 __version__ = "0.1.0"
 
-from numpy import __version__ as _numpy_version
+import numpy as _np
 
-# numpy 1.x reads a float-spelled index such as "1.5" as 1; numpy 2 refuses it
-if int(_numpy_version.split(".")[0]) < 2:
-    raise ImportError(f"zeigloc requires numpy >= 2.0, found numpy {_numpy_version}")
+# the parser relies on numpy's reader refusing a float-spelled index such as
+# "1.5", which numpy 1.x reads as 1: check the behaviour, not the version
+try:
+    _np.loadtxt(["1.5"], dtype=_np.intp)
+except ValueError:
+    pass
+else:
+    raise ImportError(f"zeigloc requires a numpy whose loadtxt refuses the index '1.5'; "
+                      f"numpy {_np.__version__} reads it as an integer")
 
 from .bounds import (
     BOUND_NAMES,

@@ -320,7 +320,8 @@ def sshopm(A: Tensor, cfg: OracleConfig | None = None) -> list[ZEigenPair]:
     current iterate) or at max_iter.  The runs that stopped on the step
     converge quadratically in ``_newton_block``, which stops a run on a
     Newton step ||dx|| <= tol; the other runs keep their last iterate.  The
-    tensor of the Jacobians is summed once per call, for every chunk.  Only
+    tensor of the Jacobians is summed at most once per call, when the first
+    run reaches the hand-off.  Only
     candidates passing the residual gate are returned, deduplicated up to
     eigenvector sign.
 
@@ -345,12 +346,13 @@ def sshopm(A: Tensor, cfg: OracleConfig | None = None) -> list[ZEigenPair]:
     # doubles of one run's intermediates: A x^(m-1) on the way down to length n
     chunk = max(1, _BLOCK_DOUBLES // sum(A.dim**k for k in range(1, A.order)))
     hand_off = math.sqrt(cfg.tol)
-    jac = _jacobian_tensor(A.entries)
-    candidates, how = [], []
+    jac, candidates, how = None, [], []
     for lo in range(0, len(X), chunk):
         last, stopped = _power_block(A.entries, X[lo : lo + chunk], sign[lo : lo + chunk],
                                      alpha, hand_off, cfg.max_iter)
         polish = stopped == _CONVERGED
+        if jac is None and polish.any():
+            jac = _jacobian_tensor(A.entries)
         last[polish] = _newton_block(A.entries, jac, last[polish], cfg.tol)
         candidates += _gated_pairs(A, last, "sshopm")
         how.append(stopped)

@@ -21,7 +21,7 @@ REMOVED = {
     "zeigloc.tensor": (
         "is_weakly_symmetric", "_IndexTable", "_check_record", "is_symmetric",
         "EntryRecord", "nonzero_records", "_listed_entries",
-        # numpy 2, the floor, refuses a float-spelled index itself
+        # the import checks that numpy's reader refuses a float-spelled index
         "_reads_float_spelled_integers", "_ODD_INDEX_LINE", "_SCREEN_INDICES",
     ),
     "zeigloc.localization": (
@@ -55,13 +55,15 @@ def test_removed_names_are_gone():
             assert name not in getattr(mod, "__all__", ())
 
 
-def test_import_refuses_numpy_1():
-    # a checkout run through PYTHONPATH=src with numpy 1.x, which would read
-    # the index "1.5" as 1, stops at the import
+def test_import_refuses_a_numpy_that_reads_float_indices():
+    # a checkout run through PYTHONPATH=src with a numpy whose reader reads
+    # the index "1.5" as 1, as numpy 1.x does, stops at the import
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
-    code = 'import numpy; numpy.__version__ = "1.26.4"; import zeigloc'
+    code = ('import numpy; numpy.__version__ = "1.26.4"; '
+            'numpy.loadtxt = lambda *args, **kwargs: numpy.ones(1, numpy.intp); import zeigloc')
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode != 0
     assert proc.stderr.splitlines()[-1] == (
-        "ImportError: zeigloc requires numpy >= 2.0, found numpy 1.26.4"
+        "ImportError: zeigloc requires a numpy whose loadtxt refuses the index '1.5'; "
+        "numpy 1.26.4 reads it as an integer"
     )

@@ -282,13 +282,17 @@ def test_sshopm_logs_run_outcomes(caplog, example2):
     assert "shift 10:" in caplog.records[0].getMessage()
 
 
-def test_sshopm_max_iter_one_counts_every_run(caplog, example2):
+def test_sshopm_max_iter_one_counts_every_run(caplog, monkeypatch, example2):
     caplog.set_level(logging.DEBUG, logger="zeigloc.oracle")
+    # no run reaches the hand-off, so there is nothing to polish
+    jacobians = []
+    monkeypatch.setattr(oracle_mod, "_jacobian_tensor", jacobians.append)
     with pytest.warns(RuntimeWarning, match="no candidate") as warned:
         sshopm(example2, OracleConfig(starts=3, max_iter=1, seed=3))
     counts = _outcome_counts(caplog)
     assert counts == {"converged": 0, "max_iter": 6, "zero_image": 0, "rejected": 6}
     assert "converged 0, max_iter 6, zero_image 0, rejected 6" in str(warned[0].message)
+    assert jacobians == []
 
 
 def test_sshopm_zero_image_keeps_its_start():
