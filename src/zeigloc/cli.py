@@ -344,9 +344,10 @@ def _add_oracle_opts(sub):
     sub.add_argument("--starts", type=int, default=50, help="random restarts for sshopm")
     sub.add_argument("--seed", type=int, default=42)
     sub.add_argument("--tol", type=float, default=1e-10,
-                     help="iterate-change stop for sshopm: the power phase hands off at "
-                     "sqrt(tol), the Newton polish stops at tol")
-    sub.add_argument("--max-iter", type=int, default=1000)
+                     help="iterate-change stop of sshopm's Newton polish")
+    sub.add_argument("--max-iter", type=int, default=200,
+                     help="power steps per sshopm run at most (default 200); runs that "
+                     "reach it are polished too")
 
 
 @functools.cache

@@ -3,21 +3,24 @@
 Two tiers: an exact solver for dimension 2 (on x = (1, t) the eigen
 equation is one polynomial of degree at most m in t, so the eigenvectors are
 its real roots), and a shifted power iteration with random restarts for
-general small dimension, whose runs hand off to a Newton polish.  The power
+general small dimension, whose runs hand off to a Newton polish once a step
+is at most ``_HAND_OFF`` or their step budget is spent.  The power
 iteration makes no completeness claim; every accepted pair is a genuine
 eigenpair up to the residual gate, which is all the inclusion checks need.
 
 Both tiers contract the tensor with a block of vectors at once through
 ``tensor._apply_block``: the power step iterates a block of runs, the polish
 takes one Newton step for a block of runs with the Jacobians contracted
-from ``tensor._jacobian_tensor`` (summed once per ``sshopm`` call),
+from ``tensor._jacobian_tensor`` (summed at most once per ``sshopm`` call),
 and the candidate directions of either tier, the roots' lines or the runs'
 last iterates, pass the gate as one block, with lambda = x . A x^(m-1) and
 the residual ||A x^(m-1) - lambda x|| from the same contraction.
 """
 
+import functools
 import logging
 import math
+import operator
 import warnings
 from dataclasses import dataclass, replace
 
@@ -40,6 +43,9 @@ _BLOCK_DOUBLES = 1 << 20
 
 # Newton steps the polish takes at most per row
 _NEWTON_STEPS = 8
+# a power run hands off to the polish on a step this small: the power phase
+# only has to bring a run into the polish's basin
+_HAND_OFF = 1e-3
 
 # how a power-iteration run stopped, in the order of the diagnostic counts
 _OUTCOMES = ("converged", "max_iter", "zero_image")
@@ -63,12 +69,19 @@ class ZEigenPair:
 @dataclass(frozen=True)
 class OracleConfig:
     starts: int = 50
-    max_iter: int = 1000
+    max_iter: int = 200
     tol: float = 1e-10
     seed: int = 42
 
     def __post_init__(self):
-        # NaN and inf fail too: inf would skip the polish, NaN would never hand off to it
+        # a float count or seed would pass the checks below and fail inside numpy
+        for name in ("starts", "max_iter", "seed"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"OracleConfig needs an integer {name}, got {value!r}") from None
+        # NaN and inf fail too: either would end every polish after its first step
         if self.starts < 1 or self.max_iter < 1 or not 0 < self.tol < math.inf:
             raise ValueError("OracleConfig needs starts >= 1, max_iter >= 1, finite tol > 0")
 
@@ -270,10 +283,11 @@ def _solve_rows(M, b):
         return out
 
 
-def _newton_block(entries, jac, X, tol):
+def _newton_block(entries, jacobian, X, tol):
     """Polish the unit rows of X by Newton's method on F(x, lambda) from
     lambda = x . A x^(m-1); return the polished rows, rescaled to unit length.
-    ``jac`` is ``_jacobian_tensor(entries)``.
+    ``jacobian()`` returns ``_jacobian_tensor(entries)``; it is called only
+    on a step, so a block of exact eigenvectors never sums that tensor.
 
     A step solves the bordered (S, n+1, n+1) systems [[J - lambda I, -x],
     [x^T, 0]] (dx, dlambda) = -F of the live rows in one call, with J the
@@ -293,7 +307,7 @@ def _newton_block(entries, jac, X, tol):
             break
         x = X[live]
         M = np.zeros((len(live), n + 1, n + 1))
-        M[:, :n, :n] = _apply_block(jac, x, keep=2).reshape(-1, n, n) - lam[live, None, None] * np.eye(n)
+        M[:, :n, :n] = _apply_block(jacobian(), x, keep=2).reshape(-1, n, n) - lam[live, None, None] * np.eye(n)
         M[:, :n, n] = -x
         M[:, n, :n] = x
         d = _solve_rows(M, -F[live, :, None])[:, :, 0]
@@ -315,24 +329,24 @@ def sshopm(A: Tensor, cfg: OracleConfig | None = None) -> list[ZEigenPair]:
     Each restart runs with both shift signs: x <- +-normalize(A x^(m-1) + a x)
     with the sign matching the shift, magnitude ``order * max|entry| + 1``.
     The positive shift walks toward large eigenvalues of the restricted
-    polynomial, the negative one toward small ones.  Iterates stop on
-    ||x_k+1 - x_k|| <= sqrt(tol), on an image of norm < 1e-300 (keeping the
-    current iterate) or at max_iter.  The runs that stopped on the step
-    converge quadratically in ``_newton_block``, which stops a run on a
-    Newton step ||dx|| <= tol; the other runs keep their last iterate.  The
-    tensor of the Jacobians is summed at most once per call, when the first
-    run reaches the hand-off.  Only
-    candidates passing the residual gate are returned, deduplicated up to
-    eigenvector sign.
+    polynomial, the negative one toward small ones.  The power phase only
+    has to bring a run into the polish's basin: a run stops on
+    ||x_k+1 - x_k|| <= ``_HAND_OFF``, at max_iter, or on an image of norm
+    < 1e-300, where it keeps its current iterate.  Every run but those on a
+    zero image then converges quadratically in ``_newton_block``, which stops
+    a run on a Newton step ||dx|| <= tol.  The tensor of the Jacobians is
+    summed at most once per call, on the first Newton step.
+    Only candidates passing the residual gate are returned, deduplicated up
+    to eigenvector sign.
 
     All ``2 * starts`` runs (start r // 2, shift sign + for even r) iterate
     as one block, in chunks that keep the contraction intermediates within
     ``_BLOCK_DOUBLES`` doubles.  A chunk's last iterates go through the
     residual gate together: one more block contraction gives every run's
     eigenvalue and residual.  Each call logs, at debug level on the
-    ``zeigloc.oracle`` logger, how many runs converged (reached the hand-off
-    and were polished), hit max_iter, stopped on a zero image and failed the
-    residual gate, and the shift.
+    ``zeigloc.oracle`` logger, how many runs converged (stopped on the
+    hand-off step), hit max_iter, stopped on a zero image and failed the
+    residual gate, and the shift; the first two counts are the polished runs.
     """
     cfg = cfg or OracleConfig()
     alpha = A.order * A.max_abs_entry() + 1.0
@@ -345,15 +359,13 @@ def sshopm(A: Tensor, cfg: OracleConfig | None = None) -> list[ZEigenPair]:
     sign = np.tile([[1.0], [-1.0]], (cfg.starts, 1))
     # doubles of one run's intermediates: A x^(m-1) on the way down to length n
     chunk = max(1, _BLOCK_DOUBLES // sum(A.dim**k for k in range(1, A.order)))
-    hand_off = math.sqrt(cfg.tol)
-    jac, candidates, how = None, [], []
+    jacobian = functools.cache(lambda: _jacobian_tensor(A.entries))
+    candidates, how = [], []
     for lo in range(0, len(X), chunk):
         last, stopped = _power_block(A.entries, X[lo : lo + chunk], sign[lo : lo + chunk],
-                                     alpha, hand_off, cfg.max_iter)
-        polish = stopped == _CONVERGED
-        if jac is None and polish.any():
-            jac = _jacobian_tensor(A.entries)
-        last[polish] = _newton_block(A.entries, jac, last[polish], cfg.tol)
+                                     alpha, _HAND_OFF, cfg.max_iter)
+        polish = stopped != _ZERO_IMAGE
+        last[polish] = _newton_block(A.entries, jacobian, last[polish], cfg.tol)
         candidates += _gated_pairs(A, last, "sshopm")
         how.append(stopped)
     how = np.concatenate(how)

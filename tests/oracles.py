@@ -298,35 +298,36 @@ def polyval_newton(coeffs: np.ndarray, t: float) -> float:
     return float(t)
 
 
-def scalar_sshopm(A: Tensor, starts=50, max_iter=1000, tol=1e-10, shift=None, seed=42, polish=True):
+def scalar_sshopm(A: Tensor, starts=50, max_iter=200, tol=1e-10, shift=None, seed=42, polish=True):
     """Reference shifted power method: one run per start and shift sign, one
     ``brute_apply`` per step, then the residual gate (1e-8) and clustering
-    by value (1e-6) and eigenvector up to sign (1e-5).  With ``polish`` a
-    run stops on a step <= sqrt(tol) and, if it got there, goes through
+    by value (1e-6) and eigenvector up to sign (1e-5).  A run also stops at
+    ``max_iter`` steps or on an image of norm < 1e-300.  With ``polish`` a
+    run stops on a step <= 1e-3 and, unless its image vanished, goes through
     ``scalar_newton``; without it a run stops on a step <= tol, the pure
     power rule.  Returns the kept pairs as sorted (value, unit vector) tuples."""
     entries, m, n = A.entries, A.order, A.dim
     alpha = abs(float(shift if shift is not None else m * np.max(np.abs(entries)) + 1.0))
-    stop = math.sqrt(tol) if polish else tol
+    stop = 1e-3 if polish else tol
     found = []
     for x0 in np.random.default_rng(seed).standard_normal((starts, n)):
         nrm = math.sqrt(sum(v * v for v in x0))
         x0 = np.eye(n)[0] if nrm < 1e-12 else x0 / nrm
         for sign in (1.0, -1.0):
             x = x0
-            converged = False
+            zero_image = False
             for _ in range(max_iter):
                 y = brute_apply(entries, x) + sign * alpha * x
                 nrm = math.sqrt(sum(v * v for v in y))
                 if nrm < 1e-300:
+                    zero_image = True
                     break
                 x_next = sign * y / nrm
                 step = math.sqrt(sum(v * v for v in x_next - x))
                 x = x_next
                 if step <= stop:
-                    converged = True
                     break
-            if polish and converged:
+            if polish and not zero_image:
                 x = scalar_newton(entries, x, tol)
             if m % 2 == 0 and x[np.argmax(np.abs(x))] < 0:
                 x = -x

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import logging
 import math
@@ -215,11 +216,16 @@ def test_sshopm_example1_recovers_both_eigenvalues(example1):
     assert any(abs(v - 5.0) <= 5e-4 for v in values)
 
 
-def test_sshopm_zero_tensor():
+def test_sshopm_zero_tensor(monkeypatch):
     # every unit vector is an eigenvector of the zero tensor; all values are 0
+    jacobians = []
+    monkeypatch.setattr(oracle_mod, "_jacobian_tensor", jacobians.append)
     pairs = sshopm(Tensor.zeros(3, 3), OracleConfig(starts=3, seed=1))
     assert pairs
     assert all(p.value == 0.0 and p.residual == 0.0 for p in pairs)
+    # each run stops on an exact eigenvector, so no polished row takes a
+    # Newton step and the Jacobian tensor is never summed
+    assert jacobians == []
 
 
 def test_sshopm_example2_respects_new_bound(example2):
@@ -240,7 +246,15 @@ def test_sshopm_deterministic(example2):
     ]
 
 
-def test_sshopm_warns_when_nothing_converges(example2):
+def _unpolished(entries, jacobian, X, tol):
+    # stands in for _newton_block: every row keeps its power iterate
+    return X
+
+
+def test_sshopm_warns_when_nothing_converges(monkeypatch, example2):
+    # one power step leaves both runs far from an eigenvector; without the
+    # polish neither passes the gate
+    monkeypatch.setattr(oracle_mod, "_newton_block", _unpolished)
     with pytest.warns(RuntimeWarning, match="no candidate"):
         pairs = sshopm(example2, OracleConfig(starts=1, max_iter=1, seed=3))
     assert pairs == []
@@ -284,15 +298,68 @@ def test_sshopm_logs_run_outcomes(caplog, example2):
 
 def test_sshopm_max_iter_one_counts_every_run(caplog, monkeypatch, example2):
     caplog.set_level(logging.DEBUG, logger="zeigloc.oracle")
-    # no run reaches the hand-off, so there is nothing to polish
-    jacobians = []
-    monkeypatch.setattr(oracle_mod, "_jacobian_tensor", jacobians.append)
+    # no run reaches the hand-off step; without the polish every run is rejected
+    monkeypatch.setattr(oracle_mod, "_newton_block", _unpolished)
     with pytest.warns(RuntimeWarning, match="no candidate") as warned:
         sshopm(example2, OracleConfig(starts=3, max_iter=1, seed=3))
     counts = _outcome_counts(caplog)
     assert counts == {"converged": 0, "max_iter": 6, "zero_image": 0, "rejected": 6}
     assert "converged 0, max_iter 6, zero_image 0, rejected 6" in str(warned[0].message)
-    assert jacobians == []
+
+
+def test_sshopm_polishes_every_run_not_on_a_zero_image(caplog, monkeypatch, example2):
+    # the polish gets exactly the runs that stopped on the hand-off step or at
+    # max_iter, and a chunk's power phase takes at most max_iter steps
+    caplog.set_level(logging.DEBUG, logger="zeigloc.oracle")
+    apply_block, power_block, newton_block = (
+        oracle_mod._apply_block, oracle_mod._power_block, oracle_mod._newton_block)
+    contractions, steps, handed, polished = [0], [], [], []
+
+    def counted_apply(*args, **kwargs):
+        contractions[0] += 1
+        return apply_block(*args, **kwargs)
+
+    def counted_power(entries, X, *args):
+        before = contractions[0]
+        last, how = power_block(entries, X, *args)
+        steps.append(contractions[0] - before)
+        # no seeded run meets a vanishing image at sshopm's shift: mark rows
+        # 0 and 3 of each chunk as if theirs had vanished
+        how[::3] = oracle_mod._ZERO_IMAGE
+        handed.append(last[how != oracle_mod._ZERO_IMAGE].copy())
+        return last, how
+
+    def counted_newton(entries, jacobian, X, tol):
+        polished.append(X.copy())
+        return newton_block(entries, jacobian, X, tol)
+
+    monkeypatch.setattr(oracle_mod, "_apply_block", counted_apply)
+    monkeypatch.setattr(oracle_mod, "_power_block", counted_power)
+    monkeypatch.setattr(oracle_mod, "_newton_block", counted_newton)
+    # four runs' intermediates per chunk: 14 runs in 4 chunks
+    monkeypatch.setattr(oracle_mod, "_BLOCK_DOUBLES", 4 * (3 + 9))
+    cfg = OracleConfig(starts=7, max_iter=12, seed=5)
+    sshopm(example2, cfg)
+    counts = _outcome_counts(caplog)
+    assert counts["converged"] > 0 and counts["max_iter"] > 0 and counts["zero_image"] == 7
+    assert len(polished) == len(handed) == 4
+    for got, want in zip(polished, handed):
+        assert np.array_equal(got, want)
+    assert sum(map(len, polished)) == counts["converged"] + counts["max_iter"]
+    assert max(steps) == cfg.max_iter
+
+
+@pytest.mark.parametrize("field", ["starts", "max_iter", "seed"])
+@pytest.mark.parametrize("value", [2.5, 3.0, "3", None])
+def test_oracle_config_refuses_non_integers(field, value):
+    # a float count or seed would otherwise fail later, inside sshopm
+    with pytest.raises(ValueError, match=f"OracleConfig needs an integer {field}"):
+        OracleConfig(**{field: value})
+
+
+def test_oracle_config_takes_numpy_integers():
+    cfg = OracleConfig(starts=np.int64(3), max_iter=np.int32(5), seed=np.uint8(7))
+    assert len(sshopm(Tensor.zeros(3, 3), cfg)) > 0
 
 
 def test_sshopm_zero_image_keeps_its_start():
@@ -384,15 +451,16 @@ def test_sshopm_matches_scalar_reference():
 
 
 def test_polish_loses_no_pure_power_pair():
-    # every pair that the pure power rule (a run stops on a step <= tol, no
-    # polish) accepts is found by sshopm, which hands off at sqrt(tol)
+    # every pair that the pure power rule (a run stops on a step <= tol or
+    # after 1000 steps, no polish) accepts is found by sshopm, which hands off
+    # at a step <= 1e-3 or after its default 200 steps
     rng = np.random.default_rng(20261019)
     panel = [random_symmetric_tensor(rng, m, n) for m, n in ((3, 3), (3, 5), (4, 3), (4, 4), (5, 3))]
     panel += [random_tensor(rng, m, 3) for m in (3, 4)]
     cfg = OracleConfig(starts=10)
     for A in panel:
         got = sshopm(A, cfg)
-        want = scalar_sshopm(A, cfg.starts, cfg.max_iter, cfg.tol, seed=cfg.seed, polish=False)
+        want = scalar_sshopm(A, cfg.starts, 1000, cfg.tol, seed=cfg.seed, polish=False)
         assert want
         for value, x in want:
             assert any(abs(p.value - value) <= DEDUPE_TOL
@@ -431,7 +499,7 @@ def test_newton_block_skips_singular_rows():
     entries = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
     X = np.array([[1.0, 0.0, 0.0], [1e-6, 0.0, 1.0]])
     X[1] /= np.linalg.norm(X[1])
-    jac = oracle_mod._jacobian_tensor(entries)
+    jac = functools.partial(oracle_mod._jacobian_tensor, entries)
     with np.errstate(all="raise"):
         out = oracle_mod._newton_block(entries, jac, X, 1e-10)
     assert np.array_equal(out[0], [1.0, 0.0, 0.0])
@@ -440,8 +508,9 @@ def test_newton_block_skips_singular_rows():
     # nearly singular: the step to (1, -1e290) overflows the residual, and is not taken
     e1 = np.array([[1.0, 0.0]])
     entries = np.array([[0.0, 0.0], [1e-10, 1e-300]])
+    jac = functools.partial(oracle_mod._jacobian_tensor, entries)
     with np.errstate(all="raise"):
-        out = oracle_mod._newton_block(entries, oracle_mod._jacobian_tensor(entries), e1, 1e-10)
+        out = oracle_mod._newton_block(entries, jac, e1, 1e-10)
     assert np.array_equal(out, e1)
 
 
@@ -454,7 +523,7 @@ def test_oracle_config_validation():
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf])
 def test_oracle_config_refuses_non_finite_tol(tol):
-    # inf would skip the Newton polish and NaN would never hand off to it
+    # either would end every Newton polish after its first step
     with pytest.raises(ValueError, match="finite tol"):
         OracleConfig(tol=tol)
 
