@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .localization import RowAggregates
+from .localization import CHAIN_SLACK, RowAggregates
 
 # serialization order, loosest bound last
 BOUND_NAMES = ("omega_max", "zhao", "wang", "maxR")
@@ -80,7 +80,8 @@ def bound_report(agg: RowAggregates) -> BoundReport:
         maxR=BoundValue(value=float(agg.R[i]), i=i + 1),
     )
     values = list(report.values().values())
-    slack = 1e-12 * (1.0 + report.maxR.value)
+    # the chain check's slack: maxR is the K radius
+    slack = CHAIN_SLACK * (1.0 + report.maxR.value)
     for smaller, larger in zip(values, values[1:]):
         if smaller > larger + slack:
             raise RuntimeError(f"internal inconsistency: bound ordering {values} violated")

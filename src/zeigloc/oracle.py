@@ -4,9 +4,10 @@ Two tiers: an exact solver for dimension 2 (on x = (1, t) the eigen
 equation is one polynomial of degree at most m in t, so the eigenvectors are
 its real roots), and a shifted power iteration with random restarts for
 general small dimension, whose runs hand off to a Newton polish once a step
-is at most ``_HAND_OFF`` or their step budget is spent.  The power
-iteration makes no completeness claim; every accepted pair is a genuine
-eigenpair up to the residual gate, which is all the inclusion checks need.
+is at most ``_HAND_OFF`` or their step budget is spent, and the polish ends
+on a step at most ``_NEWTON_STOP``.  The power iteration makes no
+completeness claim; every accepted pair is a genuine eigenpair up to the
+residual gate, which is all the inclusion checks need.
 
 Both tiers contract the tensor with a block of vectors at once through
 ``tensor._apply_block``: the power step iterates a block of runs, the polish
@@ -41,8 +42,10 @@ ANGLE_TOL = 1e-5
 # a call with more runs than fit iterates them in chunks
 _BLOCK_DOUBLES = 1 << 20
 
-# Newton steps the polish takes at most per row
+# Newton steps the polish takes at most per row, and the step that ends a
+# row's polish: quadratic convergence takes a close iterate well past it
 _NEWTON_STEPS = 8
+_NEWTON_STOP = 1e-10
 # a power run hands off to the polish on a step this small: the power phase
 # only has to bring a run into the polish's basin
 _HAND_OFF = 1e-3
@@ -70,20 +73,18 @@ class ZEigenPair:
 class OracleConfig:
     starts: int = 50
     max_iter: int = 200
-    tol: float = 1e-10
     seed: int = 42
 
     def __post_init__(self):
-        # a float count or seed would pass the checks below and fail inside numpy
-        for name in ("starts", "max_iter", "seed"):
+        # a float or out-of-range count or seed would otherwise fail inside numpy
+        for name, least in (("starts", 1), ("max_iter", 1), ("seed", 0)):
             value = getattr(self, name)
             try:
-                operator.index(value)
+                ok = operator.index(value) >= least
             except TypeError:
-                raise ValueError(f"OracleConfig needs an integer {name}, got {value!r}") from None
-        # NaN and inf fail too: either would end every polish after its first step
-        if self.starts < 1 or self.max_iter < 1 or not 0 < self.tol < math.inf:
-            raise ValueError("OracleConfig needs starts >= 1, max_iter >= 1, finite tol > 0")
+                ok = False
+            if not ok:
+                raise ValueError(f"OracleConfig needs an integer {name} >= {least}, got {value!r}")
 
 
 def residual(A: Tensor, value: float, vector) -> float:
@@ -214,16 +215,16 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(X[:, None, :], X[:, :, None])).reshape(-1, 1)
 
 
-def _power_block(entries, X, sign, alpha, tol, max_iter):
+def _power_block(entries, X, sign, alpha, max_iter):
     """Iterate every row of the unit block X at once; return the last
     iterates and how each run stopped (an index into ``_OUTCOMES``).
 
     A step contracts the whole block with the tensor ``entries`` in one
     ``_apply_block`` call and maps row x to normalize(sign A x^(m-1) + alpha x).
-    A run leaves the block on a step <= tol, or on an image of norm < 1e-300,
-    where it keeps its current iterate.  At these sizes a step costs mostly
-    numpy call overhead, so the stop tests read one minimum per step, and
-    the block is only shrunk on a step where some run stopped.
+    A run leaves the block on a step <= ``_HAND_OFF``, or on an image of norm
+    < 1e-300, where it keeps its current iterate.  At these sizes a step
+    costs mostly numpy call overhead, so the stop tests read one minimum per
+    step, and the block is only shrunk on a step where some run stopped.
     """
     out = np.empty_like(X)
     how = np.full(len(X), _MAX_ITER)
@@ -243,8 +244,8 @@ def _power_block(entries, X, sign, alpha, tol, max_iter):
         Y /= nrm
         step = _row_norms(Y - X)
         X = Y
-        if not step.item(step.argmin()) > tol:
-            keep = _retire(out, how, run, step.ravel() <= tol, X, _CONVERGED)
+        if not step.item(step.argmin()) > _HAND_OFF:
+            keep = _retire(out, how, run, step.ravel() <= _HAND_OFF, X, _CONVERGED)
             X, sign, run = X[keep], sign[keep], run[keep]
             if not run.size:
                 break
@@ -283,7 +284,7 @@ def _solve_rows(M, b):
         return out
 
 
-def _newton_block(entries, jacobian, X, tol):
+def _newton_block(entries, jacobian, X):
     """Polish the unit rows of X by Newton's method on F(x, lambda) from
     lambda = x . A x^(m-1); return the polished rows, rescaled to unit length.
     ``jacobian()`` returns ``_jacobian_tensor(entries)``; it is called only
@@ -292,9 +293,9 @@ def _newton_block(entries, jacobian, X, tol):
     A step solves the bordered (S, n+1, n+1) systems [[J - lambda I, -x],
     [x^T, 0]] (dx, dlambda) = -F of the live rows in one call, with J the
     Jacobian of A x^(m-1).  A row takes its step only if ||F|| shrinks, and
-    leaves on a step it does not take, after a step with ||dx|| <= tol or
-    after ``_NEWTON_STEPS`` steps; a row whose A x^(m-1) - lambda x is exactly
-    zero is done before the first solve.
+    leaves on a step it does not take, after a step with ||dx|| <=
+    ``_NEWTON_STOP`` or after ``_NEWTON_STEPS`` steps; a row whose
+    A x^(m-1) - lambda x is exactly zero is done before the first solve.
     """
     n = X.shape[1]
     X = X.copy()
@@ -319,7 +320,7 @@ def _newton_block(entries, jacobian, X, tol):
         take = norm_try < norm[live]
         rows = live[take]
         X[rows], lam[rows], F[rows], norm[rows] = x_try[take], lam_try[take], F_try[take], norm_try[take]
-        live = rows[_row_norms(d[take, :n]).ravel() > tol]
+        live = rows[_row_norms(d[take, :n]).ravel() > _NEWTON_STOP]
     return X / _row_norms(X)
 
 
@@ -334,8 +335,8 @@ def sshopm(A: Tensor, cfg: OracleConfig | None = None) -> list[ZEigenPair]:
     ||x_k+1 - x_k|| <= ``_HAND_OFF``, at max_iter, or on an image of norm
     < 1e-300, where it keeps its current iterate.  Every run but those on a
     zero image then converges quadratically in ``_newton_block``, which stops
-    a run on a Newton step ||dx|| <= tol.  The tensor of the Jacobians is
-    summed at most once per call, on the first Newton step.
+    a run on a Newton step ||dx|| <= ``_NEWTON_STOP``.  The tensor of the
+    Jacobians is summed at most once per call, on the first Newton step.
     Only candidates passing the residual gate are returned, deduplicated up
     to eigenvector sign.
 
@@ -362,10 +363,9 @@ def sshopm(A: Tensor, cfg: OracleConfig | None = None) -> list[ZEigenPair]:
     jacobian = functools.cache(lambda: _jacobian_tensor(A.entries))
     candidates, how = [], []
     for lo in range(0, len(X), chunk):
-        last, stopped = _power_block(A.entries, X[lo : lo + chunk], sign[lo : lo + chunk],
-                                     alpha, _HAND_OFF, cfg.max_iter)
+        last, stopped = _power_block(A.entries, X[lo : lo + chunk], sign[lo : lo + chunk], alpha, cfg.max_iter)
         polish = stopped != _ZERO_IMAGE
-        last[polish] = _newton_block(A.entries, jacobian, last[polish], cfg.tol)
+        last[polish] = _newton_block(A.entries, jacobian, last[polish])
         candidates += _gated_pairs(A, last, "sshopm")
         how.append(stopped)
     how = np.concatenate(how)

@@ -110,7 +110,7 @@ def test_criterion_5_bound_chain_500_random_nonnegative():
 
 def test_criterion_6_oracle_containment_100_symmetric():
     rng = np.random.default_rng(404)
-    cfg = OracleConfig(starts=4, max_iter=400, tol=1e-11, seed=17)
+    cfg = OracleConfig(starts=4, max_iter=400, seed=17)
     violations = 0
     pairs_seen = 0
     for _ in range(100):
@@ -131,7 +131,7 @@ def test_criterion_6_oracle_containment_100_symmetric():
 
 def test_criterion_7_cross_oracle_agreement_50_tensors():
     rng = np.random.default_rng(505)
-    cfg = OracleConfig(starts=6, max_iter=2000, tol=1e-13, seed=29)
+    cfg = OracleConfig(starts=6, max_iter=2000, seed=29)
     mismatches = 0
     checked = 0
     for k in range(50):

@@ -246,7 +246,7 @@ def test_sshopm_deterministic(example2):
     ]
 
 
-def _unpolished(entries, jacobian, X, tol):
+def _unpolished(entries, jacobian, X):
     # stands in for _newton_block: every row keeps its power iterate
     return X
 
@@ -277,7 +277,7 @@ def test_sshopm_matches_circle_on_dimension2():
         for _ in range(3):
             A = random_tensor(rng, m, 2)
             circle_values = [p.value for p in circle_solve(A)]
-            for p in sshopm(A, OracleConfig(starts=8, seed=19, tol=1e-13, max_iter=2000)):
+            for p in sshopm(A, OracleConfig(starts=8, seed=19, max_iter=2000)):
                 assert any(abs(p.value - v) <= 1e-6 for v in circle_values)
 
 
@@ -329,9 +329,9 @@ def test_sshopm_polishes_every_run_not_on_a_zero_image(caplog, monkeypatch, exam
         handed.append(last[how != oracle_mod._ZERO_IMAGE].copy())
         return last, how
 
-    def counted_newton(entries, jacobian, X, tol):
+    def counted_newton(entries, jacobian, X):
         polished.append(X.copy())
-        return newton_block(entries, jacobian, X, tol)
+        return newton_block(entries, jacobian, X)
 
     monkeypatch.setattr(oracle_mod, "_apply_block", counted_apply)
     monkeypatch.setattr(oracle_mod, "_power_block", counted_power)
@@ -350,9 +350,9 @@ def test_sshopm_polishes_every_run_not_on_a_zero_image(caplog, monkeypatch, exam
 
 
 @pytest.mark.parametrize("field", ["starts", "max_iter", "seed"])
-@pytest.mark.parametrize("value", [2.5, 3.0, "3", None])
+@pytest.mark.parametrize("value", [2.5, 3.0, "3", None, -1])
 def test_oracle_config_refuses_non_integers(field, value):
-    # a float count or seed would otherwise fail later, inside sshopm
+    # a float or negative count or seed would otherwise fail later, inside sshopm
     with pytest.raises(ValueError, match=f"OracleConfig needs an integer {field}"):
         OracleConfig(**{field: value})
 
@@ -369,7 +369,7 @@ def test_sshopm_zero_image_keeps_its_start():
     starts /= np.linalg.norm(starts, axis=1, keepdims=True)
     sign = np.tile([[1.0], [-1.0]], (4, 1))
     with np.errstate(all="raise"):
-        last, how = oracle_mod._power_block(A.entries, starts, sign, 0.0, 1e-10, 1000)
+        last, how = oracle_mod._power_block(A.entries, starts, sign, 0.0, 1000)
     assert how.tolist() == [oracle_mod._ZERO_IMAGE] * 8
     assert np.array_equal(last, starts)
     pairs = oracle_mod._gated_pairs(A, last, "sshopm")
@@ -424,23 +424,24 @@ def test_sshopm_chunked_block_matches_unchunked(monkeypatch):
             assert np.abs(p.vector - q.vector).max() <= 1e-10
 
 
-def test_sshopm_matches_scalar_reference():
+def test_sshopm_matches_scalar_reference(monkeypatch):
     rng = np.random.default_rng(20261018)
     panel = [
-        (3, 3, True, OracleConfig(starts=4, seed=1)),
-        (3, 4, False, OracleConfig(starts=3, seed=2)),
-        (4, 3, True, OracleConfig(starts=3, seed=3, tol=1e-13)),
-        (4, 4, False, OracleConfig(starts=2, seed=4)),
-        (5, 3, True, OracleConfig(starts=1, seed=5)),
-        (5, 3, False, OracleConfig(starts=3, seed=6, max_iter=1)),
-        (6, 3, True, OracleConfig(starts=2, seed=7)),
-        (6, 3, False, OracleConfig(starts=1, seed=8, tol=1e-13)),
-        (3, 8, True, OracleConfig(starts=2, seed=9)),
-        (3, 6, False, OracleConfig(starts=2, seed=10, max_iter=1)),
+        (3, 3, True, OracleConfig(starts=4, seed=1), 1e-10),
+        (3, 4, False, OracleConfig(starts=3, seed=2), 1e-10),
+        (4, 3, True, OracleConfig(starts=3, seed=3), 1e-13),
+        (4, 4, False, OracleConfig(starts=2, seed=4), 1e-10),
+        (5, 3, True, OracleConfig(starts=1, seed=5), 1e-10),
+        (5, 3, False, OracleConfig(starts=3, seed=6, max_iter=1), 1e-10),
+        (6, 3, True, OracleConfig(starts=2, seed=7), 1e-10),
+        (6, 3, False, OracleConfig(starts=1, seed=8), 1e-13),
+        (3, 8, True, OracleConfig(starts=2, seed=9), 1e-10),
+        (3, 6, False, OracleConfig(starts=2, seed=10, max_iter=1), 1e-10),
     ]
-    for m, n, symmetric, cfg in panel:
+    for m, n, symmetric, cfg, stop in panel:
         A = random_symmetric_tensor(rng, m, n) if symmetric else random_tensor(rng, m, n)
-        want = scalar_sshopm(A, cfg.starts, cfg.max_iter, cfg.tol, seed=cfg.seed)
+        want = scalar_sshopm(A, cfg.starts, cfg.max_iter, stop, seed=cfg.seed)
+        monkeypatch.setattr(oracle_mod, "_NEWTON_STOP", stop)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # max_iter=1 keeps no pair
             got = sshopm(A, cfg)
@@ -451,7 +452,7 @@ def test_sshopm_matches_scalar_reference():
 
 
 def test_polish_loses_no_pure_power_pair():
-    # every pair that the pure power rule (a run stops on a step <= tol or
+    # every pair that the pure power rule (a run stops on a step <= 1e-10 or
     # after 1000 steps, no polish) accepts is found by sshopm, which hands off
     # at a step <= 1e-3 or after its default 200 steps
     rng = np.random.default_rng(20261019)
@@ -460,7 +461,7 @@ def test_polish_loses_no_pure_power_pair():
     cfg = OracleConfig(starts=10)
     for A in panel:
         got = sshopm(A, cfg)
-        want = scalar_sshopm(A, cfg.starts, 1000, cfg.tol, seed=cfg.seed, polish=False)
+        want = scalar_sshopm(A, cfg.starts, 1000, 1e-10, seed=cfg.seed, polish=False)
         assert want
         for value, x in want:
             assert any(abs(p.value - value) <= DEDUPE_TOL
@@ -501,36 +502,49 @@ def test_newton_block_skips_singular_rows():
     X[1] /= np.linalg.norm(X[1])
     jac = functools.partial(oracle_mod._jacobian_tensor, entries)
     with np.errstate(all="raise"):
-        out = oracle_mod._newton_block(entries, jac, X, 1e-10)
+        out = oracle_mod._newton_block(entries, jac, X)
     assert np.array_equal(out[0], [1.0, 0.0, 0.0])
     assert np.abs(out[1] - [0.0, 0.0, 1.0]).max() <= 1e-15
-    assert oracle_mod._newton_block(entries, jac, X[:0], 1e-10).shape == (0, 3)
+    assert oracle_mod._newton_block(entries, jac, X[:0]).shape == (0, 3)
     # nearly singular: the step to (1, -1e290) overflows the residual, and is not taken
     e1 = np.array([[1.0, 0.0]])
     entries = np.array([[0.0, 0.0], [1e-10, 1e-300]])
     jac = functools.partial(oracle_mod._jacobian_tensor, entries)
     with np.errstate(all="raise"):
-        out = oracle_mod._newton_block(entries, jac, e1, 1e-10)
+        out = oracle_mod._newton_block(entries, jac, e1)
     assert np.array_equal(out, e1)
+
+
+def test_newton_stop_ends_the_polish(monkeypatch, example2):
+    # a row 1e-4 off an eigenvector takes three steps to a step <= 1e-10;
+    # with the stop at 1.0 its first step is its last
+    x = sshopm(example2, OracleConfig(starts=10))[0].vector + 1e-4 * np.arange(1.0, 4.0)
+    X = (x / np.linalg.norm(x))[None]
+    jac = functools.partial(oracle_mod._jacobian_tensor, example2.entries)
+    solves, solve_rows = [], oracle_mod._solve_rows
+
+    def counted(M, b):
+        solves.append(len(M))
+        return solve_rows(M, b)
+
+    monkeypatch.setattr(oracle_mod, "_solve_rows", counted)
+    oracle_mod._newton_block(example2.entries, jac, X)
+    assert solves == [1, 1, 1]
+    solves.clear()
+    monkeypatch.setattr(oracle_mod, "_NEWTON_STOP", 1.0)
+    oracle_mod._newton_block(example2.entries, jac, X)
+    assert solves == [1]
 
 
 def test_oracle_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(starts=0)
-    with pytest.raises(ValueError):
-        OracleConfig(tol=0.0)
-
-
-@pytest.mark.parametrize("tol", [math.nan, math.inf])
-def test_oracle_config_refuses_non_finite_tol(tol):
-    # either would end every Newton polish after its first step
-    with pytest.raises(ValueError, match="finite tol"):
-        OracleConfig(tol=tol)
 
 
 def test_clustering_tolerances_are_module_constants():
     assert (oracle_mod.DEDUPE_TOL, oracle_mod.ANGLE_TOL) == (1e-6, 1e-5)
-    for name in ("dedupe_tol", "angle_tol"):
+    assert oracle_mod._NEWTON_STOP == 1e-10
+    for name in ("dedupe_tol", "angle_tol", "tol"):
         with pytest.raises(TypeError):
             OracleConfig(**{name: 1e-3})
     with pytest.raises(TypeError):
