@@ -126,7 +126,6 @@ def _eigen_section(run: _Run) -> list:
             "value": p.value,
             "vector": list(map(float, p.vector)),
             "residual": p.residual,
-            "multiplicity": p.multiplicity,
             "source": p.source,
         }
         for p in run.pairs
@@ -218,18 +217,14 @@ def _text_bounds(doc) -> str:
     return "\n".join(lines)
 
 
-def _text_eigen(doc, power: bool) -> str:
-    # only the power method warns when it finds nothing
+def _text_eigen(doc) -> str:
     pairs = doc["eigenpairs"]
     if not pairs:
-        return "no Z-eigenpairs found" + (" (see warnings)" if power else "")
-    lines = [f"{'lambda':>10} {'residual':>10} {'mult':>5} {'source':<7} eigenvector"]
+        return "no Z-eigenpairs found"
+    lines = [f"{'lambda':>10} {'residual':>10} {'source':<7} eigenvector"]
     for p in pairs:
         vec = "[" + ", ".join(_fmt(v) for v in p["vector"]) + "]"
-        lines.append(
-            f"{_fmt(p['value']):>10} {p['residual']:>10.2e} {p['multiplicity']:>5} "
-            f"{p['source']:<7} {vec}"
-        )
+        lines.append(f"{_fmt(p['value']):>10} {p['residual']:>10.2e} {p['source']:<7} {vec}")
     return "\n".join(lines)
 
 
@@ -317,8 +312,6 @@ def _run(args) -> int:
         sys.stdout.write(render_plot_data(doc["sets"]))
     elif args.format == "svg":
         sys.stdout.write(render_svg(doc["sets"], [p["value"] for p in doc["eigenpairs"]]))
-    elif args.command == "zeig":
-        print(_text_eigen(doc, power=run.A.dim != 2))
     else:
         print(args.text(doc))
     ver = doc.get("verification")
@@ -373,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("zeig", help="Z-eigenpairs from the desk-scale oracle")
     _add_common(sub, ("text", "structured"))
     _add_oracle_opts(sub)
-    sub.set_defaults(sections=("eigenpairs",))
+    sub.set_defaults(sections=("eigenpairs",), text=_text_eigen)
 
     sub = subs.add_parser("verify", help="check eigenvalues against sets and bounds")
     _add_common(sub, ("text", "structured"))

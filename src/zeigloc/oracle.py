@@ -15,7 +15,9 @@ takes one Newton step for a block of runs with the Jacobians contracted
 from ``tensor._jacobian_tensor`` (summed at most once per ``sshopm`` call),
 and the candidate directions of either tier, the roots' lines or the runs'
 last iterates, pass the gate as one block, with lambda = x . A x^(m-1) and
-the residual ||A x^(m-1) - lambda x|| from the same contraction.
+the residual ||A x^(m-1) - lambda x|| from the same contraction.  Both
+tiers end in ``_distinct_pairs``, which keeps one pair per eigenvalue and
+line and sorts them.
 """
 
 import functools
@@ -23,7 +25,7 @@ import logging
 import math
 import operator
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,13 +62,12 @@ logger = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class ZEigenPair:
     """Eigenvalue, unit eigenvector, residual of the eigen equation, and the
-    solver that produced it.  ``multiplicity`` counts merged antipodal roots."""
+    solver that produced it."""
 
     value: float
     vector: np.ndarray
     residual: float
     source: str
-    multiplicity: int = 1
 
 
 @dataclass(frozen=True)
@@ -119,24 +120,16 @@ def _axis_angle(x: np.ndarray, y: np.ndarray) -> float:
     return math.acos(d)
 
 
-def _dedupe(pairs):
-    """Cluster by (eigenvalue, eigenvector up to sign); keep the best residual
-    per cluster and count merged members in the multiplicity."""
+def _distinct_pairs(pairs) -> list[ZEigenPair]:
+    """The pair of best residual in each cluster of eigenvalues within
+    ``DEDUPE_TOL`` on lines at most ``ANGLE_TOL`` apart (eigenvector sign
+    ignored), sorted by value and then vector."""
     kept: list[ZEigenPair] = []
     for p in sorted(pairs, key=lambda q: q.residual):
-        merged = False
-        for k, q in enumerate(kept):
-            if abs(p.value - q.value) <= DEDUPE_TOL and _axis_angle(p.vector, q.vector) <= ANGLE_TOL:
-                kept[k] = replace(q, multiplicity=q.multiplicity + p.multiplicity)
-                merged = True
-                break
-        if not merged:
+        if all(abs(p.value - q.value) > DEDUPE_TOL or _axis_angle(p.vector, q.vector) > ANGLE_TOL
+               for q in kept):
             kept.append(p)
-    return kept
-
-
-def _sorted_pairs(pairs):
-    return sorted(pairs, key=lambda p: (p.value, tuple(p.vector)))
+    return sorted(kept, key=lambda p: (p.value, tuple(p.vector)))
 
 
 def _horner(coeffs: list[float], t: float) -> float:
@@ -166,12 +159,6 @@ def _newton(coeffs: np.ndarray, t: float) -> float:
     return t
 
 
-def _circle_pairs(A: Tensor, lines) -> list[ZEigenPair]:
-    """Pairs at both unit vectors d and -d of each line, through the residual gate."""
-    X = np.array([s * d for d in lines for s in (1.0, -1.0)]).reshape(-1, A.dim)
-    return _gated_pairs(A, X, "circle")
-
-
 def circle_solve(A: Tensor) -> list[ZEigenPair]:
     """All Z-eigenpairs of a dimension-2 tensor from the roots of one polynomial.
 
@@ -179,10 +166,10 @@ def circle_solve(A: Tensor) -> list[ZEigenPair]:
     g(t) = y_1(t) t - y_2(t) = 0.  In y_i the coefficient of t^k sums the
     entries whose tail holds k indices equal to 2, so g has degree <= m.  Its
     real roots are polished by Newton steps, in s = 1/t when |t| > 1, and
-    (0, 1) is the root at infinity when a[1, 2, ..., 2] = 0.  For even order
-    d and -d merge with multiplicity 2; for odd order they carry +-lambda.
-    If g vanishes, every unit vector is an eigenvector and the distinct
-    values at (+-1, 0) are reported.
+    (0, 1) is the root at infinity when a[1, 2, ..., 2] = 0.  Both unit
+    vectors d and -d of each line pass the residual gate: for even order they
+    are one pair, for odd order they carry +-lambda.  If g vanishes, every
+    unit vector is an eigenvector and the line of (1, 0) stands for them all.
     """
     if A.dim != 2:
         raise ValueError(f"circle_solve needs dimension 2, got {A.dim}")
@@ -192,22 +179,18 @@ def circle_solve(A: Tensor) -> list[ZEigenPair]:
     g = np.append(y1[::-1], 0.0) - np.append(0.0, y2[::-1])  # descending powers of t
 
     if np.max(np.abs(g)) <= 1e-12 * (1.0 + A.max_abs_entry()):
-        kept = _dedupe(_circle_pairs(A, [np.array([1.0, 0.0])]))
-        return _sorted_pairs(replace(p, multiplicity=1) for p in kept)
-
-    lines = [np.array([0.0, 1.0])] if g[0] == 0.0 else []
-    roots = np.roots(g)
-    for t in roots.real[np.abs(roots.imag) <= 1e-6 * (1.0 + np.abs(roots))]:
-        if abs(t) <= 1.0:
-            x = np.array([1.0, _newton(g, t)])
-        else:
-            x = np.array([_newton(g[::-1], 1.0 / t), 1.0])
-        x /= np.linalg.norm(x)
-        # one direction per line: the two halves of a double root would
-        # otherwise merge into multiplicity 4
-        if all(_axis_angle(x, d) > ANGLE_TOL for d in lines):
-            lines.append(x)
-    return _sorted_pairs(_dedupe(_circle_pairs(A, lines)))
+        lines = [np.array([1.0, 0.0])]
+    else:
+        lines = [np.array([0.0, 1.0])] if g[0] == 0.0 else []
+        roots = np.roots(g)
+        for t in roots.real[np.abs(roots.imag) <= 1e-6 * (1.0 + np.abs(roots))]:
+            if abs(t) <= 1.0:
+                x = np.array([1.0, _newton(g, t)])
+            else:
+                x = np.array([_newton(g[::-1], 1.0 / t), 1.0])
+            lines.append(x / np.linalg.norm(x))
+    X = np.array([s * d for d in lines for s in (1.0, -1.0)]).reshape(-1, 2)
+    return _distinct_pairs(_gated_pairs(A, X, "circle"))
 
 
 def _row_norms(X: np.ndarray) -> np.ndarray:
@@ -337,8 +320,8 @@ def sshopm(A: Tensor, cfg: OracleConfig | None = None) -> list[ZEigenPair]:
     zero image then converges quadratically in ``_newton_block``, which stops
     a run on a Newton step ||dx|| <= ``_NEWTON_STOP``.  The tensor of the
     Jacobians is summed at most once per call, on the first Newton step.
-    Only candidates passing the residual gate are returned, deduplicated up
-    to eigenvector sign.
+    Only candidates passing the residual gate are returned, one per
+    eigenvalue and line.
 
     All ``2 * starts`` runs (start r // 2, shift sign + for even r) iterate
     as one block, in chunks that keep the contraction intermediates within
@@ -374,8 +357,7 @@ def sshopm(A: Tensor, cfg: OracleConfig | None = None) -> list[ZEigenPair]:
     summary = ", ".join(f"{k} {v}" for k, v in counts.items())
     logger.debug("sshopm: %d runs, shift %g: %s", len(X), alpha, summary)
 
-    kept = _dedupe(candidates)
-    kept = [replace(p, multiplicity=1) for p in kept]
+    kept = _distinct_pairs(candidates)
     if not kept:
         warnings.warn(
             f"sshopm: no candidate reached residual {RESIDUAL_ACCEPT:g} "
@@ -383,7 +365,7 @@ def sshopm(A: Tensor, cfg: OracleConfig | None = None) -> list[ZEigenPair]:
             RuntimeWarning,
             stacklevel=2,
         )
-    return _sorted_pairs(kept)
+    return kept
 
 
 def solve(A: Tensor, cfg: OracleConfig | None = None) -> list[ZEigenPair]:
@@ -401,12 +383,8 @@ class VerificationRow:
     bound_ok: dict[str, bool] | None  # None when the bounds were not checked
 
     @property
-    def cells(self) -> dict[str, bool]:
-        return {**self.set_ok, **(self.bound_ok or {})}
-
-    @property
     def ok(self) -> bool:
-        return all(self.cells.values())
+        return all(self.set_ok.values()) and all((self.bound_ok or {}).values())
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,14 @@ MAX_DENSE_ENTRIES = 10**8
 _HEADER_RE = re.compile(r"^tensor\s+m=(\d+)\s+n=(\d+)(\s+symmetric)?\s*$")
 
 
-def _too_large(order: int, dim: int) -> bool:
-    """dim**order > MAX_DENSE_ENTRIES for dim >= 2, without the power at a
-    huge order: from the cap's bit length on, 2**order alone exceeds it."""
-    return order >= MAX_DENSE_ENTRIES.bit_length() or dim**order > MAX_DENSE_ENTRIES
+def _check_shape(order: int, dim: int) -> None:
+    """Refuse order or dim below 2, and dim**order > MAX_DENSE_ENTRIES without
+    the power at a huge order: from the cap's bit length on, 2**order alone
+    exceeds it."""
+    if order < 2 or dim < 2:
+        raise ValueError(f"tensor needs order >= 2 and dim >= 2, got m={order}, n={dim}")
+    if order >= MAX_DENSE_ENTRIES.bit_length() or dim**order > MAX_DENSE_ENTRIES:
+        raise ValueError(f"dense tensor too large: {dim}**{order} > {MAX_DENSE_ENTRIES}")
 
 
 class TensorFormatError(ValueError):
@@ -47,12 +51,7 @@ class Tensor:
     __slots__ = ("order", "dim", "entries")
 
     def __init__(self, order: int, dim: int, entries):
-        if order < 2 or dim < 2:
-            raise ValueError(f"tensor needs order >= 2 and dim >= 2, got m={order}, n={dim}")
-        if _too_large(order, dim):
-            raise ValueError(
-                f"dense tensor too large: {dim}**{order} entries exceeds {MAX_DENSE_ENTRIES}"
-            )
+        _check_shape(order, dim)
         arr = np.array(entries, dtype=float)
         if arr.shape != (dim,) * order:
             raise ValueError(f"entries shape {arr.shape} does not match ({dim},) * {order}")
@@ -298,16 +297,10 @@ def _read_header(line: str, lineno: int) -> tuple[int, int, bool]:
                 f"dense tensor too large: {name} has {len(d)} digits", lines=(lineno,)
             )
     order, dim = map(int, digits)
-    if order < 2 or dim < 2:
-        raise TensorFormatError(
-            f"tensor needs order >= 2 and dim >= 2, got m={order}, n={dim}",
-            lines=(lineno,),
-        )
-    if _too_large(order, dim):
-        raise TensorFormatError(
-            f"dense tensor too large: {dim}**{order} > {MAX_DENSE_ENTRIES}",
-            lines=(lineno,),
-        )
+    try:
+        _check_shape(order, dim)
+    except ValueError as exc:
+        raise TensorFormatError(str(exc), lines=(lineno,)) from None
     return order, dim, match.group(3) is not None
 
 

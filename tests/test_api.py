@@ -23,6 +23,8 @@ REMOVED = {
         "EntryRecord", "nonzero_records", "_listed_entries",
         # the import checks that numpy's reader refuses a float-spelled index
         "_reads_float_spelled_integers", "_ODD_INDEX_LINE", "_SCREEN_INDICES",
+        # _check_shape states the shape rule of Tensor and of the header once
+        "_too_large",
     ),
     "zeigloc.localization": (
         "set_K", "set_L", "set_Psi", "set_Omega", "_union", "_intersect_over_partners",
@@ -37,7 +39,11 @@ REMOVED = {
     ),
     "zeigloc.intervals": ("quadratic_region",),
     # one block contraction gives lambda and the residual of every candidate
-    "zeigloc.oracle": ("_make_pair", "_canonical_sign"),
+    "zeigloc.oracle": (
+        "_make_pair", "_canonical_sign",
+        # _distinct_pairs is the one final step of both solvers
+        "_dedupe", "_sorted_pairs", "_circle_pairs",
+    ),
 }
 
 

@@ -151,6 +151,7 @@ def test_zeig_text_example1(capsys, example1_path):
     assert code == 0
     assert "-0.2044" in out and "5.0000" in out
     assert "circle" in out
+    assert out.splitlines()[0] == "    lambda   residual source  eigenvector"
 
 
 def test_zeig_structured_method_sshopm(capsys, example2_path, example2):
@@ -166,12 +167,29 @@ def test_zeig_structured_method_sshopm(capsys, example2_path, example2):
         assert abs(np.linalg.norm(p["vector"]) - 1.0) <= 1e-12
 
 
+def test_zeig_structured_pair_keys(capsys, example1_path, example2_path):
+    # n = 2 runs the exact solver, n = 3 the power method
+    for path in (example1_path, example2_path):
+        pairs = json.loads(run(capsys, "zeig", path, "--format", "structured")[1])["eigenpairs"]
+        assert pairs
+        for p in pairs:
+            assert list(p) == ["value", "vector", "residual", "source"]
+
+
 def test_zeig_text_without_real_pairs_points_at_no_warning(tmp_path, capsys):
     # x1^2 - x2^2 has no real Z-eigenpair: circle_solve proves it, and warns of nothing
     path = tmp_path / "none.txt"
     path.write_text("tensor m=2 n=2\n1 2 -1\n2 1 1\n")
     code, out, err = run(capsys, "zeig", str(path))
     assert (code, out, err) == (0, "no Z-eigenpairs found\n", "")
+
+
+def test_zeig_text_without_power_pairs_is_the_plain_line(capsys, monkeypatch, example2_path):
+    # the power method's RuntimeWarning says why; the text is that of every solver
+    monkeypatch.setattr(oracle_mod, "RESIDUAL_ACCEPT", -1.0)
+    with pytest.warns(RuntimeWarning, match="no candidate"):
+        code, out, _ = run(capsys, "zeig", example2_path)
+    assert (code, out) == (0, "no Z-eigenpairs found\n")
 
 
 def test_method_circle_is_a_usage_error(capsys, example1_path):

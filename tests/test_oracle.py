@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import logging
@@ -53,7 +54,8 @@ def test_circle_solve_example1(example1):
     assert low.value == pytest.approx(-0.2044, abs=5e-5)
     assert high.value == pytest.approx(5.0000, abs=5e-5)
     for p in pairs:
-        assert p.multiplicity == 2  # antipodal eigenvector pair, even order
+        # even order: x and -x are one pair, signed to a positive largest component
+        assert p.vector[np.abs(p.vector).argmax()] > 0.0
         assert p.residual <= 1e-8
         assert abs(np.linalg.norm(p.vector) - 1.0) <= 1e-12
         assert p.source == "circle"
@@ -95,9 +97,7 @@ def test_circle_solve_reports_double_root():
     pairs = circle_solve(_double_root_tensor())
     x = np.array([-math.sin(0.3), math.cos(0.3)])
     hits = [p for p in pairs if abs(p.value) <= 1e-9 and abs(p.vector @ x) >= 1.0 - 1e-9]
-    assert len(hits) == 1
-    assert hits[0].multiplicity == 2  # one line, both signs; not 4 from the two root halves
-    assert all(p.multiplicity == 2 for p in pairs)
+    assert len(hits) == 1  # one line, both signs and both root halves
 
 
 def test_circle_solve_every_direction_an_eigenvector():
@@ -110,9 +110,8 @@ def test_circle_solve_every_direction_an_eigenvector():
     panel = [(Tensor.zeros(m, 2), 0.0) for m in range(2, 9)]
     panel += [(Tensor(2, 2, np.eye(2)), 1.0), (Tensor(4, 2, arr), 1.0)]
     for A, value in panel:
-        got = [(p.value, p.vector.tolist(), p.residual, p.multiplicity, p.source)
-               for p in circle_solve(A)]
-        assert got == [(value, [1.0, 0.0], 0.0, 1, "circle")], A.order
+        got = [(p.value, p.vector.tolist(), p.residual, p.source) for p in circle_solve(A)]
+        assert got == [(value, [1.0, 0.0], 0.0, "circle")], A.order
 
 
 def test_circle_solve_matches_interpolation_reference():
@@ -189,8 +188,7 @@ def test_newton_polish_matches_polyval_reference_bit_for_bit():
 
 
 def _pair_bits(pairs):
-    return [(p.value.hex(), p.vector.tobytes(), p.residual.hex(), p.multiplicity, p.source)
-            for p in pairs]
+    return [(p.value.hex(), p.vector.tobytes(), p.residual.hex(), p.source) for p in pairs]
 
 
 def test_circle_solve_pairs_unchanged_under_polyval_polish(monkeypatch):
@@ -550,7 +548,51 @@ def test_clustering_tolerances_are_module_constants():
     with pytest.raises(TypeError):
         circle_solve(Tensor.zeros(3, 2), dedupe_tol=1e-3)
     with pytest.raises(TypeError):
-        oracle_mod._dedupe([], angle_tol=math.pi)
+        oracle_mod._distinct_pairs([], angle_tol=math.pi)
+
+
+def _assert_distinct_and_sorted(pairs):
+    for p, q in itertools.combinations(pairs, 2):
+        assert (
+            abs(p.value - q.value) > DEDUPE_TOL
+            or oracle_mod._axis_angle(p.vector, q.vector) > ANGLE_TOL
+        ), (p, q)
+    keys = [(p.value, tuple(p.vector)) for p in pairs]
+    assert keys == sorted(keys)
+
+
+def test_both_solvers_return_distinct_sorted_pairs(monkeypatch):
+    # every candidate direction the gate passes, before _distinct_pairs merges them
+    gated = []
+    gate = oracle_mod._gated_pairs
+
+    def counted(*args):
+        out = gate(*args)
+        gated.append(len(out))
+        return out
+
+    monkeypatch.setattr(oracle_mod, "_gated_pairs", counted)
+    # the double root's two halves and the signs of each line merge
+    pairs = circle_solve(_double_root_tensor())
+    _assert_distinct_and_sorted(pairs)
+    assert sum(gated) > len(pairs)
+    # odd order: d and -d stay two pairs, with values -lambda and lambda
+    rng = np.random.default_rng(61)
+    A = random_tensor(rng, 5, 2)
+    pairs = circle_solve(A)
+    _assert_distinct_and_sorted(pairs)
+    assert pairs and [p.value for p in pairs] == [-p.value for p in reversed(pairs)]
+    for m, n in ((3, 3), (4, 3), (3, 4), (4, 4), (5, 3)):
+        for A in (random_symmetric_tensor(rng, m, n, low=-1.0), random_tensor(rng, m, n)):
+            gated.clear()
+            pairs = sshopm(A, OracleConfig(starts=20, seed=5))
+            _assert_distinct_and_sorted(pairs)
+            assert sum(gated) > len(pairs), (m, n)
+
+
+def test_eigenpair_fields():
+    names = [f.name for f in dataclasses.fields(ZEigenPair)]
+    assert names == ["value", "vector", "residual", "source"]
 
 
 def test_power_shift_is_not_a_setting():
