@@ -7,6 +7,7 @@ the only places that translate between the two.
 """
 
 import math
+import os
 import re
 from dataclasses import dataclass
 
@@ -176,19 +177,27 @@ def is_nonnegative(A: Tensor) -> bool:
     return bool(np.all(A.entries >= 0.0))
 
 
-# flat indices per block of the orbit-key pass: bounds its index arrays at
-# order ints per entry
+# sorted m-tuples per block of `weak_symmetry_check`'s pass over them (whole
+# rows of sorted tails): bounds its index arrays at a few ints per tuple
 _ORBIT_BLOCK = 65536
 
 
-def _orbit_key_blocks(shape):
-    """Yield (slice, keys) over the flat indices in blocks of ``_ORBIT_BLOCK``;
-    the orbit key of a flat index is the flat index of its sorted index tuple."""
-    size = math.prod(shape)
-    for start in range(0, size, _ORBIT_BLOCK):
-        block = slice(start, min(start + _ORBIT_BLOCK, size))
-        tuples = np.unravel_index(np.arange(block.start, block.stop), shape)
-        yield block, np.ravel_multi_index(np.sort(tuples, axis=0), shape)
+def _fill_orbits(arr: np.ndarray) -> None:
+    """Set every entry of the (n,) * m array ``arr`` to its entry at the sorted
+    index tuple, in place.
+
+    The bubble-sort network sorts a tuple by compare-exchanges of adjacent
+    positions (p, p + 1).  Its exchanges run here in reverse order, and
+    exchange (p, p + 1) copies each slab i_p = a, i_(p+1) < a from its mirror
+    i_p < a, i_(p+1) = a, which it never writes.  Each entry then holds the
+    entry at the tuple the exchanges not yet run would sort its tuple to;
+    after the last, at its sorted tuple."""
+    m, n = arr.ndim, len(arr)
+    for top in range(1, m):
+        for p in range(top - 1, -1, -1):
+            lead = (slice(None),) * p
+            for a in range(1, n):
+                arr[(*lead, a, slice(a))] = arr[(*lead, slice(a), a)]
 
 
 @dataclass(frozen=True)
@@ -225,7 +234,10 @@ def weak_symmetry_check(A: Tensor) -> WeakSymmetryCheck:
     """
     m, n = A.order, A.dim
     tail_shape = (n,) * (m - 1)
-    keys = np.concatenate([keys for _, keys in _orbit_key_blocks(tail_shape)])
+    # keys[f]: flat index of tail f's sorted tuple
+    keys = np.arange(n ** (m - 1)).reshape(tail_shape)
+    _fill_orbits(keys)
+    keys = keys.ravel()
     sorted_flat = np.flatnonzero(keys == np.arange(keys.size))
     # rank[f]: column of tail f's sorted tuple among the sorted tails (in
     # lexicographic order).  tables[:, i, r]: mean, max and min of a[i, .]
@@ -277,16 +289,33 @@ def weak_symmetry_check(A: Tensor) -> WeakSymmetryCheck:
 
 # raw lines per parser block: bounds the record array numpy's reader builds
 _PARSE_BLOCK = 8192
-# a body line that holds a record: neither blank nor only a comment
-_RECORD_LINE = re.compile(r"\n[^\S\n]*[^\s#]")
+# characters from which `load_tensor` may hand a file's body to numpy's
+# reader by path.  On full listings of orders 2 and 3 the path call cost
+# about 40 us more per file; the routes broke even near 22000 characters,
+# and from 45000 to 900000 the path route took 7-17% less time
+_READ_FROM_PATH = 32768
+# line breaks of str.splitlines that numpy's reader takes for spaces
+_NUMPY_SPACES = "\v\f\x1c\x1d\x1e"
+# suffixes numpy's reader decompresses when it opens a path
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+# a line that holds the header or a record: neither blank nor only a comment
+_RECORD_LINE = re.compile(r"^[^\S\n]*[^\s#]", re.M)
 
 
-def _read_header(line: str, lineno: int) -> tuple[int, int, bool]:
+def _read_header(lines) -> tuple[int, int, int, bool]:
+    """(0-based line index, order, dim, symmetric flag) of the header, the
+    first of ``lines`` that is neither blank nor only a comment."""
+    for head, raw in enumerate(lines):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            break
+    else:
+        raise TensorFormatError("empty input: missing tensor header")
     match = _HEADER_RE.match(line)
     if match is None:
         raise TensorFormatError(
             f"malformed header {line!r}, expected 'tensor m=<order> n=<dim> [symmetric]'",
-            lines=(lineno,),
+            lines=(head + 1,),
         )
     digits = [match.group(k).lstrip("0") or "0" for k in (1, 2)]
     for name, d in zip("mn", digits):
@@ -294,14 +323,14 @@ def _read_header(line: str, lineno: int) -> tuple[int, int, bool]:
         # one of over 4300 digits with a plain ValueError
         if len(d) > len(str(MAX_DENSE_ENTRIES)):
             raise TensorFormatError(
-                f"dense tensor too large: {name} has {len(d)} digits", lines=(lineno,)
+                f"dense tensor too large: {name} has {len(d)} digits", lines=(head + 1,)
             )
     order, dim = map(int, digits)
     try:
         _check_shape(order, dim)
     except ValueError as exc:
-        raise TensorFormatError(str(exc), lines=(lineno,)) from None
-    return order, dim, match.group(3) is not None
+        raise TensorFormatError(str(exc), lines=(head + 1,)) from None
+    return head, order, dim, match.group(3) is not None
 
 
 def _read_record(raw: str, lineno: int, order: int, dim: int):
@@ -332,21 +361,107 @@ def _read_record(raw: str, lineno: int, order: int, dim: int):
     return idx, value
 
 
-def _parse_block(lines: list[str], order: int, dim: int):
-    """((records, order) 1-based indices, values) of a block of body lines from
-    numpy's C reader; None if it refuses the block, or an index is outside
-    1..dim or a value not finite.  No warning filter is touched or relied on."""
-    if _RECORD_LINE.search("\n" + "\n".join(lines)) is None:  # loadtxt would warn "no data"
-        return np.zeros((0, order), np.intp), np.zeros(0)
+def _load_records(source, order: int, dim: int, skiprows: int = 0):
+    """((records, order) 1-based indices, values) of a list of body lines, or
+    of a file's lines after its first ``skiprows``, from numpy's C reader;
+    None if it refuses them, or an index is outside 1..dim or a value not
+    finite.  The caller has found a record line: on none, numpy warns "no
+    data".  No warning filter is touched or relied on."""
     dtype = [("i", np.intp, (order,)), ("v", float)]
     try:
-        rec = np.loadtxt(lines, dtype=dtype, comments="#", ndmin=1)
+        rec = np.loadtxt(
+            source, dtype=dtype, comments="#", skiprows=skiprows, ndmin=1, encoding="utf-8"
+        )
     except ValueError:  # a spelling only Python reads, a float index, a wrong field count
         return None
     idx, values = rec["i"], rec["v"]
     if rec.size == 0 or idx.min() < 1 or idx.max() > dim or not np.all(np.isfinite(values)):
         return None
-    return idx, values.copy()  # a view would keep the block's records alive
+    return idx, values.copy()  # a view would keep the records alive
+
+
+def _record_keys(idx: np.ndarray, shape: tuple, symmetric: bool) -> np.ndarray:
+    """Flat index of each record's entry (of its sorted tuple with the
+    ``symmetric`` flag), from its 1-based indices, which it overwrites."""
+    idx = idx.reshape(-1, len(shape))
+    idx -= 1
+    if symmetric:
+        idx.sort(axis=1)
+    return np.ravel_multi_index(idx.T, shape)
+
+
+def _read_blocks(lines: list[str], head: int, shape: tuple, symmetric: bool):
+    """(keys, values) of the records after the header at ``lines[head]``,
+    read in blocks of ``_PARSE_BLOCK`` lines."""
+    order, dim = len(shape), shape[0]
+    keys, values = [np.zeros(0, np.intp)], [np.zeros(0)]
+    for start in range(head + 1, len(lines), _PARSE_BLOCK):
+        block = lines[start : start + _PARSE_BLOCK]
+        if _RECORD_LINE.search("\n".join(block)) is None:
+            continue
+        parsed = _load_records(block, order, dim)
+        if parsed is None:
+            read = [_read_record(raw, start + k + 1, order, dim) for k, raw in enumerate(block)]
+            read = [r for r in read if r is not None]
+            parsed = np.array([r[0] for r in read], np.intp), np.array([r[1] for r in read])
+        keys.append(_record_keys(parsed[0], shape, symmetric))
+        values.append(parsed[1])
+    return np.concatenate(keys), np.concatenate(values)
+
+
+def _parse(text: str, path=None) -> Tensor:
+    """The tensor of ``text``.  Given the ``path`` of the file that holds it,
+    with \\n its only line break, the body goes to numpy's reader by path;
+    a body it refuses is read in blocks, as is every text without a path."""
+    lines = parsed = None
+    if path is None:
+        lines = text.splitlines()
+        head, order, dim, symmetric = _read_header(lines)
+    else:
+        found = _RECORD_LINE.search(text)
+        end = text.find("\n", found.start()) if found else -1
+        if end < 0:  # no line after the header's
+            end = len(text)
+        head, order, dim, symmetric = _read_header(text[:end].splitlines())
+        if _RECORD_LINE.search(text, end):
+            parsed = _load_records(path, order, dim, skiprows=head + 1)
+    shape = (dim,) * order
+    if parsed is None:
+        lines = text.splitlines() if lines is None else lines
+        keys, values = _read_blocks(lines, head, shape, symmetric)
+    else:
+        keys, values = _record_keys(parsed[0], shape, symmetric), parsed[1]
+    del parsed  # the indices are a view of numpy's record array
+
+    # perm[k]: ordinal in file order of the k-th record by key
+    perm = np.argsort(keys, kind="stable")
+    keys = keys[perm]
+    values = values[perm]
+    first = np.ones(keys.size, bool)
+    first[1:] = keys[1:] != keys[:-1]
+    if not first.all():  # a key repeats
+        group_first = np.maximum.accumulate(np.where(first, np.arange(keys.size), 0))
+        with np.errstate(over="ignore"):
+            conflict = np.abs(values - values[group_first]) > 1e-12
+        if np.any(conflict):
+            k = np.flatnonzero(conflict)[np.argmin(perm[conflict])]
+            g = group_first[k]
+            idx = " ".join(str(i + 1) for i in np.unravel_index(keys[k], shape))
+            lines = text.splitlines() if lines is None else lines
+            body = [j for j in range(head + 1, len(lines)) if lines[j].split("#", 1)[0].strip()]
+            raise TensorFormatError(
+                f"conflicting values {float(values[g])!r} and {float(values[k])!r} for entry {idx}",
+                lines=(body[perm[g]] + 1, body[perm[k]] + 1),
+            )
+        del group_first, conflict
+        keys = keys[first]
+        values = values[first]
+    del perm, first  # before the dense array is allocated
+    arr = np.zeros(dim**order)
+    arr[keys] = values
+    if symmetric:
+        _fill_orbits(arr.reshape(shape))
+    return Tensor._adopt(arr.reshape(shape))
 
 
 def parse_tensor(source) -> Tensor:
@@ -360,60 +475,9 @@ def parse_tensor(source) -> Tensor:
     stable sort: the first record of a group gives the entry, and a later one
     more than 1e-12 away from it is a conflict, named by its record's index
     tuple (sorted with the ``symmetric`` flag).  Parse errors win over conflicts.
+    With the flag, every entry then takes its sorted tuple's entry in place.
     """
-    text = source.read() if hasattr(source, "read") else source
-    lines = text.splitlines()
-    for head, raw in enumerate(lines):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            break
-    else:
-        raise TensorFormatError("empty input: missing tensor header")
-    order, dim, symmetric = _read_header(line, head + 1)
-    shape = (dim,) * order
-
-    keys, values = [np.zeros(0, np.intp)], [np.zeros(0)]
-    for start in range(head + 1, len(lines), _PARSE_BLOCK):
-        block = lines[start : start + _PARSE_BLOCK]
-        parsed = _parse_block(block, order, dim)
-        if parsed is None:
-            read = [_read_record(raw, start + k + 1, order, dim) for k, raw in enumerate(block)]
-            read = [r for r in read if r is not None]
-            parsed = np.array([r[0] for r in read], np.intp), np.array([r[1] for r in read])
-        idx, vals = parsed
-        idx = idx.reshape(-1, order) - 1
-        if symmetric:
-            idx.sort(axis=1)
-        keys.append(np.ravel_multi_index(idx.T, shape))
-        values.append(vals)
-
-    # perm[k]: ordinal in file order of the k-th record by key
-    keys = np.concatenate(keys)
-    perm = np.argsort(keys, kind="stable")
-    keys, values = keys[perm], np.concatenate(values)[perm]
-    first = np.ones(keys.size, bool)
-    first[1:] = keys[1:] != keys[:-1]
-    group_first = np.maximum.accumulate(np.where(first, np.arange(keys.size), 0))
-    with np.errstate(over="ignore"):
-        conflict = np.abs(values - values[group_first]) > 1e-12
-    if np.any(conflict):
-        k = np.flatnonzero(conflict)[np.argmin(perm[conflict])]
-        g = group_first[k]
-        idx = " ".join(str(i + 1) for i in np.unravel_index(keys[k], shape))
-        body = [j for j in range(head + 1, len(lines)) if lines[j].split("#", 1)[0].strip()]
-        raise TensorFormatError(
-            f"conflicting values {float(values[g])!r} and {float(values[k])!r} for entry {idx}",
-            lines=(body[perm[g]] + 1, body[perm[k]] + 1),
-        )
-
-    keys, values = keys[first], values[first]
-    del perm, first, group_first, conflict  # before the dense array is allocated
-    arr = np.zeros(dim**order)
-    arr[keys] = values
-    if symmetric:
-        for block, orbit_keys in _orbit_key_blocks(shape):
-            arr[block] = arr[orbit_keys]
-    return Tensor._adopt(arr.reshape(shape))
+    return _parse(source.read() if hasattr(source, "read") else source)
 
 
 def serialize_tensor(A: Tensor) -> str:
@@ -430,5 +494,22 @@ def serialize_tensor(A: Tensor) -> str:
 
 
 def load_tensor(path) -> Tensor:
+    """The tensor in the UTF-8 file at ``path``, read with universal newlines.
+
+    A file of at least ``_READ_FROM_PATH`` characters, pure ASCII and with
+    none of ``_NUMPY_SPACES``, has the same lines for numpy's reader as for
+    ``str.splitlines``; its body goes to numpy's reader by path in one call,
+    which reads the file in chunks and builds no string per line.  Any other
+    file, or a body numpy refuses, is parsed as ``parse_tensor`` parses it.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_tensor(fh)
+        text = fh.read()
+    by_path = (
+        isinstance(path, (str, os.PathLike))
+        and len(text) >= _READ_FROM_PATH
+        and text.isascii()
+        and not any(c in text for c in _NUMPY_SPACES)
+        and not os.fsdecode(path).endswith(_COMPRESSED)
+    )
+    # absolute, so that numpy's opener takes no path for a URL
+    return _parse(text, os.path.abspath(os.fsdecode(path)) if by_path else None)

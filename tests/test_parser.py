@@ -3,7 +3,8 @@
 Valid files must give bitwise-equal entries, malformed files the same
 message and line numbers, and the writer the same text.  The seeded panel
 runs with the default block size and with blocks of 3 lines, so that block
-boundaries fall everywhere.
+boundaries fall everywhere, and each of its files loaded by path gives the
+outcome of its text.
 """
 
 import itertools
@@ -11,19 +12,19 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import zeigloc.tensor as tensor_module
-from oracles import random_symmetric_tensor, scalar_parse_tensor, scalar_serialize_tensor
+from oracles import scalar_parse_tensor, scalar_serialize_tensor
 from zeigloc.tensor import (
     MAX_DENSE_ENTRIES,
     Tensor,
     TensorFormatError,
     parse_tensor,
     serialize_tensor,
-    weak_symmetry_check,
 )
 
 SHAPES = ((2, 2), (2, 12), (2, 30), (3, 3), (3, 11), (4, 2), (4, 3), (5, 2))
@@ -342,31 +343,98 @@ def test_parse_holds_one_dense_copy():
     assert peak < dense + dense // 4
 
 
-def test_orbit_block_size_does_not_change_results(monkeypatch):
+def test_fill_orbits_matches_a_fill_over_every_permutation():
     rng = np.random.default_rng(31)
-    cases = []
-    for m, n in ((3, 4), (4, 3), (5, 2), (2, 9)):
-        A = random_symmetric_tensor(rng, m, n, low=-1.0, high=1.0)
-        listing = "\n".join(
-            " ".join(map(str, t)) + f" {A.entry(t)!r}"
-            for t in itertools.combinations_with_replacement(range(1, n + 1), m)
-        )
-        skewed = A.entries.copy()
-        skewed[(0,) * (m - 1) + (1,)] += 1e-9
-        cases.append((f"tensor m={m} n={n} symmetric\n{listing}\n", Tensor(m, n, skewed)))
+    for m in range(2, 9):
+        for n in itertools.takewhile(lambda n: n**m <= 5000, itertools.count(2)):
+            arr = rng.standard_normal((n,) * m)
+            want = arr.copy()
+            for s in itertools.combinations_with_replacement(range(n), m):
+                for q in itertools.permutations(s):
+                    want[q] = arr[s]
+            tensor_module._fill_orbits(arr)
+            assert arr.tobytes() == want.tobytes(), (m, n)
+            # weak_symmetry_check's tail orbit keys: the flat index of each sorted tuple
+            keys = np.arange(n**m).reshape((n,) * m)
+            tensor_module._fill_orbits(keys)
+            tuples = np.sort(np.indices((n,) * m).reshape(m, -1), axis=0)
+            assert np.array_equal(keys.ravel(), np.ravel_multi_index(tuples, (n,) * m)), (m, n)
 
-    def results():
-        return [
-            (parse_tensor(text).entries.tobytes(), weak_symmetry_check(B).symmetric)
-            for text, B in cases
-        ]
 
-    default = results()
-    monkeypatch.setattr(tensor_module, "_ORBIT_BLOCK", 5)
-    assert results() == default
-    assert [sym for _, sym in default] == [False] * len(cases)
-    for text, _ in cases:
-        assert weak_symmetry_check(parse_tensor(text)).symmetric
+def route_cases():
+    """Texts whose lines numpy's reader could split otherwise than
+    str.splitlines, with their own name, after every file of the panel."""
+    for seed in (20261018, 5):
+        for kind, text in panel(seed):
+            yield kind, text
+    records = ["1 1 1.0", "1 2 2.0", "2 3 0.5"]
+    base = "tensor m=2 n=3\n" + "\n".join(records) + "\n"
+    for c in "\v\f\x1c\x1d\x1e":
+        yield f"{c!r} in a record", base.replace("1 2 2.0", f"1{c}2 2.0")
+        yield f"{c!r} between records", base.replace("1.0\n1 2", f"1.0{c}1 2")
+    yield "CRLF", base.replace("\n", "\r\n")
+    yield "CR", base.replace("\n", "\r")
+    yield "BOM", "\ufeff" + base
+    yield "before the header", "# c\n\n   \n  # d\n" + base
+    yield "comment-only body", "tensor m=2 n=3\n# only\n\n  # comments\n"
+    yield "1_0", "tensor m=2 n=12\n1 1_0 1.0\n2 3 0.5\n"
+
+
+def test_load_by_path_matches_parse_of_the_text(monkeypatch, tmp_path):
+    # with no size floor, every pure-ASCII file free of the characters that
+    # str.splitlines breaks lines at and numpy's reader does not goes to
+    # numpy's reader by path
+    monkeypatch.setattr(tensor_module, "_READ_FROM_PATH", 0)
+    load_records = tensor_module._load_records
+    by_path = []
+
+    def spy(source, *args, **kwargs):
+        if isinstance(source, str):
+            by_path.append(source)
+        return load_records(source, *args, **kwargs)
+
+    monkeypatch.setattr(tensor_module, "_load_records", spy)
+    cases = list(route_cases())
+    for k, (name, text) in enumerate(cases):
+        path = tmp_path / f"{k}.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = outcome(tensor_module.load_tensor, path)
+        assert got == outcome(parse_tensor, text), name
+    taken = {int(Path(p).stem) for p in by_path}
+    assert {k for k, (name, _) in enumerate(cases) if name == "valid"} <= taken
+    for k, (name, _) in enumerate(cases):
+        if name.endswith(("in a record", "between records", "BOM")):
+            assert k not in taken, name
+    assert {cases[k][0] for k in taken} >= {"CRLF", "CR", "before the header", "1_0", "bad"}
+    # numpy's reader would decompress a path with this suffix
+    path = tmp_path / "plain.txt.gz"
+    path.write_text(cases[0][1], encoding="utf-8")
+    assert outcome(tensor_module.load_tensor, path) == outcome(parse_tensor, cases[0][1])
+
+
+def test_load_by_path_holds_no_string_per_line(tmp_path):
+    # a full listing of (3,30): the peak is the text, numpy's record array
+    # and the dense array, with the flat keys and values (16 bytes a record)
+    # taken from the record array; a str per line would add over 49 bytes
+    m, n = 3, 30
+    rng = np.random.default_rng(7)
+    body = [f"{i} {j} {k} {v!r}" for (i, j, k), v in
+            zip(itertools.product(range(1, n + 1), repeat=m), rng.random(n**m).tolist())]
+    text = f"tensor m={m} n={n}\n" + "\n".join(body) + "\n"
+    assert len(text) >= tensor_module._READ_FROM_PATH and text.isascii()
+    path = tmp_path / "full.txt"
+    path.write_text(text, encoding="utf-8")
+    records, dense = n**m * (m + 1) * 8, n**m * 8
+    tracemalloc.start()
+    try:
+        A = tensor_module.load_tensor(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert A.entries.tobytes() == parse_tensor(text).entries.tobytes()
+    assert peak < len(text) + records + dense + 16 * n**m
 
 
 def test_oversized_header_is_refused_before_allocating():
