@@ -64,10 +64,11 @@ class _Run:
 
     def __init__(self, args):
         self.args = args
-        self.A = load_tensor(args.path)
-        # only zeig and verify take oracle options; the svg marks of sets use the defaults
+        # only zeig and verify take oracle options; the svg marks of sets use
+        # the defaults.  They are checked before the file is read
         opts = "starts" in args
         self.cfg = OracleConfig(args.starts, args.max_iter, args.seed) if opts else None
+        self.A = load_tensor(args.path)
 
     agg = functools.cached_property(lambda self: row_aggregates(self.A))
     sets = functools.cached_property(lambda self: build_sets(self.agg))

@@ -6,6 +6,7 @@ the ``entry`` accessor) and 0-based internally; the parser and serializer are
 the only places that translate between the two.
 """
 
+import itertools
 import math
 import os
 import re
@@ -287,8 +288,6 @@ def weak_symmetry_check(A: Tensor) -> WeakSymmetryCheck:
 # --------------------------------------------------------------------------
 
 
-# raw lines per parser block: bounds the record array numpy's reader builds
-_PARSE_BLOCK = 8192
 # characters from which `load_tensor` may hand a file's body to numpy's
 # reader by path.  On full listings of orders 2 and 3 the path call cost
 # about 40 us more per file; the routes broke even near 22000 characters,
@@ -361,12 +360,12 @@ def _read_record(raw: str, lineno: int, order: int, dim: int):
     return idx, value
 
 
-def _load_records(source, order: int, dim: int, skiprows: int = 0):
-    """((records, order) 1-based indices, values) of a list of body lines, or
-    of a file's lines after its first ``skiprows``, from numpy's C reader;
-    None if it refuses them, or an index is outside 1..dim or a value not
-    finite.  The caller has found a record line: on none, numpy warns "no
-    data".  No warning filter is touched or relied on."""
+def _load_records(source, order: int, dim: int, skiprows: int):
+    """((records, order) 1-based indices, values) of the lines after the
+    first ``skiprows`` of ``source``, a list of lines or a file's path, from
+    numpy's C reader; None if it refuses them, or an index is outside 1..dim
+    or a value not finite.  The caller has found a record line: on none,
+    numpy warns "no data".  No warning filter is touched or relied on."""
     dtype = [("i", np.intp, (order,)), ("v", float)]
     try:
         rec = np.loadtxt(
@@ -380,58 +379,40 @@ def _load_records(source, order: int, dim: int, skiprows: int = 0):
     return idx, values.copy()  # a view would keep the records alive
 
 
-def _record_keys(idx: np.ndarray, shape: tuple, symmetric: bool) -> np.ndarray:
-    """Flat index of each record's entry (of its sorted tuple with the
-    ``symmetric`` flag), from its 1-based indices, which it overwrites."""
-    idx = idx.reshape(-1, len(shape))
-    idx -= 1
-    if symmetric:
-        idx.sort(axis=1)
-    return np.ravel_multi_index(idx.T, shape)
-
-
-def _read_blocks(lines: list[str], head: int, shape: tuple, symmetric: bool):
-    """(keys, values) of the records after the header at ``lines[head]``,
-    read in blocks of ``_PARSE_BLOCK`` lines."""
-    order, dim = len(shape), shape[0]
-    keys, values = [np.zeros(0, np.intp)], [np.zeros(0)]
-    for start in range(head + 1, len(lines), _PARSE_BLOCK):
-        block = lines[start : start + _PARSE_BLOCK]
-        if _RECORD_LINE.search("\n".join(block)) is None:
-            continue
-        parsed = _load_records(block, order, dim)
-        if parsed is None:
-            read = [_read_record(raw, start + k + 1, order, dim) for k, raw in enumerate(block)]
-            read = [r for r in read if r is not None]
-            parsed = np.array([r[0] for r in read], np.intp), np.array([r[1] for r in read])
-        keys.append(_record_keys(parsed[0], shape, symmetric))
-        values.append(parsed[1])
-    return np.concatenate(keys), np.concatenate(values)
-
-
 def _parse(text: str, path=None) -> Tensor:
-    """The tensor of ``text``.  Given the ``path`` of the file that holds it,
-    with \\n its only line break, the body goes to numpy's reader by path;
-    a body it refuses is read in blocks, as is every text without a path."""
-    lines = parsed = None
+    """The tensor of ``text``.  numpy's reader reads the body in one call: by
+    ``path``, given that of the file that holds it with \\n its only line
+    break, and from the text's lines otherwise.  A body it refuses is read
+    line by line."""
+    lines = None
     if path is None:
         lines = text.splitlines()
         head, order, dim, symmetric = _read_header(lines)
+        found = any(_RECORD_LINE.match(line) for line in itertools.islice(lines, head + 1, None))
     else:
         found = _RECORD_LINE.search(text)
         end = text.find("\n", found.start()) if found else -1
         if end < 0:  # no line after the header's
             end = len(text)
         head, order, dim, symmetric = _read_header(text[:end].splitlines())
-        if _RECORD_LINE.search(text, end):
-            parsed = _load_records(path, order, dim, skiprows=head + 1)
+        found = _RECORD_LINE.search(text, end)
     shape = (dim,) * order
+    parsed = _load_records(path or lines, order, dim, skiprows=head + 1) if found else None
     if parsed is None:
         lines = text.splitlines() if lines is None else lines
-        keys, values = _read_blocks(lines, head, shape, symmetric)
-    else:
-        keys, values = _record_keys(parsed[0], shape, symmetric), parsed[1]
-    del parsed  # the indices are a view of numpy's record array
+        numbered = enumerate(itertools.islice(lines, head + 1, None), head + 2)
+        read = [r for r in (_read_record(raw, k, order, dim) for k, raw in numbered) if r is not None]
+        parsed = np.array([r[0] for r in read], np.intp), np.array([r[1] for r in read])
+        del read
+    idx, values = parsed
+    del parsed
+    # keys: flat index of each record's entry (of its sorted tuple with the flag)
+    idx = idx.reshape(-1, order)
+    idx -= 1
+    if symmetric:
+        idx.sort(axis=1)
+    keys = np.ravel_multi_index(idx.T, shape)
+    del idx  # a view of numpy's record array
 
     # perm[k]: ordinal in file order of the k-th record by key
     perm = np.argsort(keys, kind="stable")
@@ -467,15 +448,15 @@ def _parse(text: str, path=None) -> Tensor:
 def parse_tensor(source) -> Tensor:
     """Parse the tensor text format from a string or a readable file object.
 
-    The body is read in blocks of ``_PARSE_BLOCK`` lines, each by numpy's C
-    reader into one record array; a block it refuses, or with a bad index or
-    value, is read line by line with ``int()`` and ``float()``, which set the
-    spellings accepted, so an error names its first bad line.  Records are
-    grouped by flat index (by orbit key with the ``symmetric`` flag) with a
-    stable sort: the first record of a group gives the entry, and a later one
-    more than 1e-12 away from it is a conflict, named by its record's index
-    tuple (sorted with the ``symmetric`` flag).  Parse errors win over conflicts.
-    With the flag, every entry then takes its sorted tuple's entry in place.
+    numpy's C reader reads the body's lines in one call into one record
+    array; a body it refuses, or with a bad index or value, is read line by
+    line with ``int()`` and ``float()``, which set the spellings accepted, so
+    an error names its first bad line.  Records are grouped by flat index (by
+    orbit key with the ``symmetric`` flag) with a stable sort: the first
+    record of a group gives the entry, and a later one more than 1e-12 away
+    from it is a conflict, named by its record's index tuple (sorted with the
+    ``symmetric`` flag).  Parse errors win over conflicts.  With the flag,
+    every entry then takes its sorted tuple's entry in place.
     """
     return _parse(source.read() if hasattr(source, "read") else source)
 
@@ -498,9 +479,10 @@ def load_tensor(path) -> Tensor:
 
     A file of at least ``_READ_FROM_PATH`` characters, pure ASCII and with
     none of ``_NUMPY_SPACES``, has the same lines for numpy's reader as for
-    ``str.splitlines``; its body goes to numpy's reader by path in one call,
-    which reads the file in chunks and builds no string per line.  Any other
-    file, or a body numpy refuses, is parsed as ``parse_tensor`` parses it.
+    ``str.splitlines``; its body goes to numpy's reader by path, which reads
+    the file in chunks and builds no string per line.  Any other file goes to
+    it as ``parse_tensor`` hands it a text: as a list of lines.  Either way a
+    body numpy refuses is read line by line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()

@@ -17,7 +17,7 @@ REMOVED = {
         # serialize_tensor lists the entries the text format holds
         "EntryRecord", "nonzero_records",
     ),
-    # numpy's reader takes record blocks; _read_record reads the ones it refuses
+    # numpy's reader takes each body whole; _read_record reads one it refuses
     "zeigloc.tensor": (
         "is_weakly_symmetric", "_IndexTable", "_check_record", "is_symmetric",
         "EntryRecord", "nonzero_records", "_listed_entries",
@@ -25,6 +25,8 @@ REMOVED = {
         "_reads_float_spelled_integers", "_ODD_INDEX_LINE", "_SCREEN_INDICES",
         # _check_shape states the shape rule of Tensor and of the header once
         "_too_large",
+        # one call of numpy's reader per body, in no blocks of lines
+        "_PARSE_BLOCK", "_read_blocks", "_record_keys",
     ),
     "zeigloc.localization": (
         "set_K", "set_L", "set_Psi", "set_Omega", "_union", "_intersect_over_partners",

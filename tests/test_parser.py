@@ -2,9 +2,9 @@
 
 Valid files must give bitwise-equal entries, malformed files the same
 message and line numbers, and the writer the same text.  The seeded panel
-runs with the default block size and with blocks of 3 lines, so that block
-boundaries fall everywhere, and each of its files loaded by path gives the
-outcome of its text.
+and the texts numpy's reader refuses run on both routes: ``parse_tensor``
+of the text, which hands numpy's reader its lines, and ``load_tensor`` of a
+file that holds it, which hands numpy's reader its path.
 """
 
 import itertools
@@ -13,6 +13,7 @@ import threading
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,10 +42,48 @@ def outcome(parse, text):
     return "ok", A.entries.shape, A.entries.tobytes()
 
 
-def assert_same_outcome(text):
+def assert_same_outcome(text, parse=parse_tensor):
     want = outcome(scalar_parse_tensor, text)
-    assert outcome(parse_tensor, text) == want
+    assert outcome(parse, text) == want
     return want
+
+
+# the routes to numpy's reader, and what each hands it
+ROUTES = {"parse_tensor": "lines", "load_tensor": "path"}
+
+
+@pytest.fixture
+def numpy_reads(monkeypatch):
+    """Every call of numpy's reader: ``via`` holds "path" or "lines" for
+    each, and ``paths`` the paths.  Files of any size may go by path."""
+    reads = SimpleNamespace(via=[], paths=[])
+    load_records = tensor_module._load_records
+
+    def spy(source, *args, **kwargs):
+        by_path = isinstance(source, str)
+        reads.via.append("path" if by_path else "lines")
+        if by_path:
+            reads.paths.append(source)
+        return load_records(source, *args, **kwargs)
+
+    monkeypatch.setattr(tensor_module, "_load_records", spy)
+    monkeypatch.setattr(tensor_module, "_READ_FROM_PATH", 0)
+    return reads
+
+
+def reader(route, tmp_path):
+    """``parse_tensor``, or ``load_tensor`` of a file in ``tmp_path`` that
+    holds the text."""
+    if route == "parse_tensor":
+        return parse_tensor
+    files = itertools.count()
+
+    def load(text):
+        path = tmp_path / f"{next(files)}.txt"
+        path.write_bytes(text.encode("utf-8"))
+        return tensor_module.load_tensor(path)
+
+    return load
 
 
 def spell_index(rng, i):
@@ -155,18 +194,19 @@ def panel(seed):
             yield "conflict then bad", file_text(rng, m, n, symmetric, clash)
 
 
-@pytest.mark.parametrize("block", [3, 8192])
-def test_parse_matches_scalar_reader_on_seeded_panel(monkeypatch, block):
-    monkeypatch.setattr(tensor_module, "_PARSE_BLOCK", block)
+@pytest.mark.parametrize("route", ROUTES)
+def test_parse_matches_scalar_reader_on_seeded_panel(numpy_reads, tmp_path, route):
+    parse = reader(route, tmp_path)
     seen = {}
     for seed in (20261018, 5):
         for kind, text in panel(seed):
-            result = assert_same_outcome(text)
+            result = assert_same_outcome(text, parse)
             seen.setdefault(kind, set()).add(result[0])
     # the panel reaches both outcomes where it should
     assert seen["valid"] == {"ok"}
     assert seen["bad"] == seen["two bad"] == seen["conflict then bad"] == {"error"}
     assert seen["conflict"] == {"error"}
+    assert set(numpy_reads.via) == {ROUTES[route]}
 
 
 def test_panel_holds_negative_zero_and_every_spelling():
@@ -234,53 +274,77 @@ def test_first_error_in_a_later_block_is_found():
     text = "tensor m=2 n=100\n" + "\n".join(body) + "\n"
     kind, message, lines = assert_same_outcome(text)
     assert kind == "error" and lines == (9502,)
-    assert lines[0] > tensor_module._PARSE_BLOCK
+    assert lines[0] > 8192  # deep in a long body
     assert message == "bad value 'not-a-number' (line 9502)"
 
 
-@pytest.mark.parametrize("block", [4, 8192])
-def test_two_bad_lines_report_the_earlier(monkeypatch, block):
-    monkeypatch.setattr(tensor_module, "_PARSE_BLOCK", block)
+@pytest.mark.parametrize("route", ROUTES)
+def test_two_bad_lines_report_the_earlier(numpy_reads, tmp_path, route):
     body = [f"{i} {j} 1.0" for i in range(1, 4) for j in range(1, 4)]
     body[6] = "1 2 3 4.0"  # field count, line 8
     body[3] = "1 4 1.0"  # out of range, line 5, earlier but a later check
     text = "tensor m=2 n=3\n" + "\n".join(body)
-    assert assert_same_outcome(text) == ("error", "index 4 out of range 1..3 (line 5)", (5,))
+    assert assert_same_outcome(text, reader(route, tmp_path)) == (
+        "error", "index 4 out of range 1..3 (line 5)", (5,))
+    assert numpy_reads.via == [ROUTES[route]]
 
 
-@pytest.mark.parametrize("block", [2, 8192])
-def test_parse_error_wins_over_an_earlier_conflict(monkeypatch, block):
-    monkeypatch.setattr(tensor_module, "_PARSE_BLOCK", block)
+@pytest.mark.parametrize("route", ROUTES)
+def test_parse_error_wins_over_an_earlier_conflict(numpy_reads, tmp_path, route):
     text = "tensor m=2 n=2\n1 1 1.0\n1 1 2.0\n2 2 3.0\n2 1 inf\n"
-    assert assert_same_outcome(text) == ("error", "non-finite value 'inf' (line 5)", (5,))
+    assert assert_same_outcome(text, reader(route, tmp_path)) == (
+        "error", "non-finite value 'inf' (line 5)", (5,))
+    assert numpy_reads.via == [ROUTES[route]]
 
 
 @pytest.mark.parametrize("odd", ["2 3 1_0.5", "2 \u0663 0.5"])
-def test_block_numpy_refuses_is_read_line_by_line(monkeypatch, odd):
+def test_block_numpy_refuses_is_read_line_by_line(numpy_reads, tmp_path, odd):
     # 1_0.5 and the Arabic-Indic digit three are spellings only int() and
-    # float() read; the other records of their block come out the same
-    monkeypatch.setattr(tensor_module, "_PARSE_BLOCK", 4)
+    # float() read; the other records of the body come out the same.  A
+    # file that is not pure ASCII goes to numpy's reader as lines
     body = [f"{i} {j} {i + j / 8}" for i in range(1, 4) for j in range(1, 4)]
     body[5] = odd
-    kind, shape, _ = assert_same_outcome("tensor m=2 n=3\n" + "\n".join(body) + "\n")
-    assert (kind, shape) == ("ok", (3, 3))
+    text = "tensor m=2 n=3\n" + "\n".join(body) + "\n"
+    for route, via in ROUTES.items():
+        numpy_reads.via.clear()
+        kind, shape, _ = assert_same_outcome(text, reader(route, tmp_path))
+        assert (kind, shape) == ("ok", (3, 3))
+        assert numpy_reads.via == [via if text.isascii() else "lines"], route
 
 
-def test_comment_only_block_between_record_blocks(monkeypatch):
-    # numpy's reader warns "input contained no data" on the middle block
-    monkeypatch.setattr(tensor_module, "_PARSE_BLOCK", 3)
+def test_comment_only_block_between_record_blocks(numpy_reads, tmp_path):
+    # comment and blank lines between records: numpy's reader skips them
+    # and warns of nothing
     text = "tensor m=2 n=2\n1 1 1.0\n1 2 2.0\n2 1 3.0\n# a\n\n  # b\n2 2 4.0\n"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        A = parse_tensor(text)
-    assert A.entries.tolist() == [[1.0, 2.0], [3.0, 4.0]]
-    assert outcome(parse_tensor, text) == outcome(scalar_parse_tensor, text)
+    for route, via in ROUTES.items():
+        numpy_reads.via.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = outcome(reader(route, tmp_path), text)
+        assert got == outcome(scalar_parse_tensor, text), route
+        assert got[2] == np.array([[1.0, 2.0], [3.0, 4.0]]).tobytes()
+        assert numpy_reads.via == [via]
 
 
-def test_parse_leaves_other_threads_warnings_alone(monkeypatch):
-    # a warning another thread raises while blocks are parsed stays a warning:
-    # the parser changes no process-wide warning filter
-    monkeypatch.setattr(tensor_module, "_PARSE_BLOCK", 3)
+def test_numpy_reads_each_body_once(numpy_reads, tmp_path):
+    # one call on the whole body, past 8192 lines too; a body numpy refuses
+    # goes to the per-line reader, not to numpy's reader again
+    n = 100
+    body = [f"{i} {j} {i + j / 1000}" for i in range(1, n + 1) for j in range(1, n + 1)]
+    valid = f"tensor m=2 n={n}\n" + "\n".join(body) + "\n"
+    body[9500] = "96 1 9_6.001"  # line 9502: the same value in a spelling numpy refuses
+    refused = f"tensor m=2 n={n}\n" + "\n".join(body) + "\n"
+    want = outcome(scalar_parse_tensor, valid)
+    assert want[0] == "ok"
+    for route, text in [(r, t) for t in (valid, refused) for r in ROUTES]:
+        numpy_reads.via.clear()
+        assert outcome(reader(route, tmp_path), text) == want
+        assert numpy_reads.via == [ROUTES[route]], (route, text is valid)
+
+
+def test_parse_leaves_other_threads_warnings_alone():
+    # a warning another thread raises while texts are parsed stays a
+    # warning: the parser changes no process-wide warning filter
     text = "tensor m=2 n=2\n1 1 1.0\n1 2 2.0\n2 1 3.0\n# a\n\n  # b\n2 2 4.0\n"
     raised, parsing = [], threading.Event()
 
@@ -311,15 +375,16 @@ def test_parse_leaves_other_threads_warnings_alone(monkeypatch):
     assert caught and {str(w.message) for w in caught} == {"from another thread"}
 
 
-@pytest.mark.parametrize("block", [3, 8192])
-def test_float_spelled_index_is_refused(monkeypatch, block):
+@pytest.mark.parametrize("route", ROUTES)
+def test_float_spelled_index_is_refused(numpy_reads, tmp_path, route):
     # numpy's reader refuses a float spelling in an integer field, and the
     # per-line reader names the line
-    monkeypatch.setattr(tensor_module, "_PARSE_BLOCK", block)
+    parse = reader(route, tmp_path)
     for line in ("1.5 2 0.5", "1.0 2 0.5", "1e0\t2 0.5", "  +1.  2 0.5 # c"):
         text = f"tensor m=2 n=2\n2 2 4.0\n{line}\n1 1 1.0\n"
-        assert assert_same_outcome(text) == (
+        assert assert_same_outcome(text, parse) == (
             "error", f"non-integer index in {line.split('#')[0].strip()!r} (line 3)", (3,))
+    assert numpy_reads.via == [ROUTES[route]] * 4
 
 
 def test_index_beyond_int64_is_out_of_range():
@@ -380,20 +445,10 @@ def route_cases():
     yield "1_0", "tensor m=2 n=12\n1 1_0 1.0\n2 3 0.5\n"
 
 
-def test_load_by_path_matches_parse_of_the_text(monkeypatch, tmp_path):
+def test_load_by_path_matches_parse_of_the_text(numpy_reads, tmp_path):
     # with no size floor, every pure-ASCII file free of the characters that
     # str.splitlines breaks lines at and numpy's reader does not goes to
     # numpy's reader by path
-    monkeypatch.setattr(tensor_module, "_READ_FROM_PATH", 0)
-    load_records = tensor_module._load_records
-    by_path = []
-
-    def spy(source, *args, **kwargs):
-        if isinstance(source, str):
-            by_path.append(source)
-        return load_records(source, *args, **kwargs)
-
-    monkeypatch.setattr(tensor_module, "_load_records", spy)
     cases = list(route_cases())
     for k, (name, text) in enumerate(cases):
         path = tmp_path / f"{k}.txt"
@@ -402,7 +457,7 @@ def test_load_by_path_matches_parse_of_the_text(monkeypatch, tmp_path):
             warnings.simplefilter("error")
             got = outcome(tensor_module.load_tensor, path)
         assert got == outcome(parse_tensor, text), name
-    taken = {int(Path(p).stem) for p in by_path}
+    taken = {int(Path(p).stem) for p in numpy_reads.paths}
     assert {k for k, (name, _) in enumerate(cases) if name == "valid"} <= taken
     for k, (name, _) in enumerate(cases):
         if name.endswith(("in a record", "between records", "BOM")):
