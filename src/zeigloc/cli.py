@@ -67,7 +67,7 @@ class _Run:
         # only zeig and verify take oracle options; the svg marks of sets use
         # the defaults.  They are checked before the file is read
         opts = "starts" in args
-        self.cfg = OracleConfig(args.starts, args.max_iter, args.seed) if opts else None
+        self.cfg = OracleConfig(args.starts, args.seed) if opts else None
         self.A = load_tensor(args.path)
 
     agg = functools.cached_property(lambda self: row_aggregates(self.A))
@@ -337,9 +337,6 @@ def _add_common(sub, formats):
 def _add_oracle_opts(sub):
     sub.add_argument("--starts", type=int, default=50, help="random restarts for sshopm")
     sub.add_argument("--seed", type=int, default=42, help="seed of the restarts, at least 0")
-    sub.add_argument("--max-iter", type=int, default=200,
-                     help="power steps per sshopm run at most (default 200); runs that "
-                     "reach it are polished too")
 
 
 @functools.cache

@@ -40,10 +40,6 @@ class IntervalSet:
         raise AttributeError("IntervalSet is immutable")
 
     @classmethod
-    def empty(cls) -> "IntervalSet":
-        return cls(())
-
-    @classmethod
     def closed(cls, lo: float, hi: float) -> "IntervalSet":
         return cls(((lo, hi),))
 
@@ -57,15 +53,6 @@ class IntervalSet:
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         return IntervalSet(self.intervals + other.intervals)
-
-    def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        out = []
-        for alo, ahi in self.intervals:
-            for blo, bhi in other.intervals:
-                lo, hi = max(alo, blo), min(ahi, bhi)
-                if lo <= hi:
-                    out.append((lo, hi))
-        return IntervalSet(out)
 
     def contains(self, t: float, slack: float = 0.0) -> bool:
         """Membership of t, with each interval inflated by ``slack``."""
@@ -85,9 +72,6 @@ class IntervalSet:
             if not any(blo <= lo and hi <= bhi for blo, bhi in big.intervals):
                 bad.append((lo, hi))
         return bad
-
-    def is_subset_of(self, other: "IntervalSet", slack: float = 0.0) -> bool:
-        return not self.uncovered_by(other, slack)
 
     def __eq__(self, other):
         return isinstance(other, IntervalSet) and self.intervals == other.intervals

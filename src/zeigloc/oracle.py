@@ -4,7 +4,7 @@ Two tiers: an exact solver for dimension 2 (on x = (1, t) the eigen
 equation is one polynomial of degree at most m in t, so the eigenvectors are
 its real roots), and a shifted power iteration with random restarts for
 general small dimension, whose runs hand off to a Newton polish once a step
-is at most ``_HAND_OFF`` or their step budget is spent, and the polish ends
+is at most ``_HAND_OFF`` or after ``_POWER_STEPS`` steps, and the polish ends
 on a step at most ``_NEWTON_STOP``.  The power iteration makes no
 completeness claim; every accepted pair is a genuine eigenpair up to the
 residual gate, which is all the inclusion checks need.
@@ -48,9 +48,10 @@ _BLOCK_DOUBLES = 1 << 20
 # row's polish: quadratic convergence takes a close iterate well past it
 _NEWTON_STEPS = 8
 _NEWTON_STOP = 1e-10
-# a power run hands off to the polish on a step this small: the power phase
-# only has to bring a run into the polish's basin
+# a power run hands off to the polish on a step this small, or after this
+# many steps: the power phase only has to bring a run into the polish's basin
 _HAND_OFF = 1e-3
+_POWER_STEPS = 200
 
 # how a power-iteration run stopped, in the order of the diagnostic counts
 _OUTCOMES = ("converged", "max_iter", "zero_image")
@@ -73,12 +74,11 @@ class ZEigenPair:
 @dataclass(frozen=True)
 class OracleConfig:
     starts: int = 50
-    max_iter: int = 200
     seed: int = 42
 
     def __post_init__(self):
         # a float or out-of-range count or seed would otherwise fail inside numpy
-        for name, least in (("starts", 1), ("max_iter", 1), ("seed", 0)):
+        for name, least in (("starts", 1), ("seed", 0)):
             value = getattr(self, name)
             try:
                 ok = operator.index(value) >= least
@@ -198,21 +198,22 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(X[:, None, :], X[:, :, None])).reshape(-1, 1)
 
 
-def _power_block(entries, X, sign, alpha, max_iter):
+def _power_block(entries, X, sign, alpha):
     """Iterate every row of the unit block X at once; return the last
     iterates and how each run stopped (an index into ``_OUTCOMES``).
 
     A step contracts the whole block with the tensor ``entries`` in one
     ``_apply_block`` call and maps row x to normalize(sign A x^(m-1) + alpha x).
-    A run leaves the block on a step <= ``_HAND_OFF``, or on an image of norm
-    < 1e-300, where it keeps its current iterate.  At these sizes a step
-    costs mostly numpy call overhead, so the stop tests read one minimum per
-    step, and the block is only shrunk on a step where some run stopped.
+    A run leaves the block on a step <= ``_HAND_OFF``, on an image of norm
+    < 1e-300, where it keeps its current iterate, or after ``_POWER_STEPS``
+    steps.  At these sizes a step costs mostly numpy call overhead, so the
+    stop tests read one minimum per step, and the block is only shrunk on a
+    step where some run stopped.
     """
     out = np.empty_like(X)
     how = np.full(len(X), _MAX_ITER)
     run = np.arange(len(X))  # block row -> run
-    for _ in range(max_iter):
+    for _ in range(_POWER_STEPS):
         Y = _apply_block(entries, X)
         Y *= sign
         Y += alpha * X
@@ -315,13 +316,13 @@ def sshopm(A: Tensor, cfg: OracleConfig | None = None) -> list[ZEigenPair]:
     The positive shift walks toward large eigenvalues of the restricted
     polynomial, the negative one toward small ones.  The power phase only
     has to bring a run into the polish's basin: a run stops on
-    ||x_k+1 - x_k|| <= ``_HAND_OFF``, at max_iter, or on an image of norm
-    < 1e-300, where it keeps its current iterate.  Every run but those on a
-    zero image then converges quadratically in ``_newton_block``, which stops
-    a run on a Newton step ||dx|| <= ``_NEWTON_STOP``.  The tensor of the
-    Jacobians is summed at most once per call, on the first Newton step.
-    Only candidates passing the residual gate are returned, one per
-    eigenvalue and line.
+    ||x_k+1 - x_k|| <= ``_HAND_OFF``, after ``_POWER_STEPS`` steps (the
+    outcome max_iter), or on an image of norm < 1e-300, where it keeps its
+    current iterate.  Every run but those on a zero image then converges
+    quadratically in ``_newton_block``, which stops a run on a Newton step
+    ||dx|| <= ``_NEWTON_STOP``.  The tensor of the Jacobians is summed at
+    most once per call, on the first Newton step.  Only candidates passing
+    the residual gate are returned, one per eigenvalue and line.
 
     All ``2 * starts`` runs (start r // 2, shift sign + for even r) iterate
     as one block, in chunks that keep the contraction intermediates within
@@ -346,7 +347,7 @@ def sshopm(A: Tensor, cfg: OracleConfig | None = None) -> list[ZEigenPair]:
     jacobian = functools.cache(lambda: _jacobian_tensor(A.entries))
     candidates, how = [], []
     for lo in range(0, len(X), chunk):
-        last, stopped = _power_block(A.entries, X[lo : lo + chunk], sign[lo : lo + chunk], alpha, cfg.max_iter)
+        last, stopped = _power_block(A.entries, X[lo : lo + chunk], sign[lo : lo + chunk], alpha)
         polish = stopped != _ZERO_IMAGE
         last[polish] = _newton_block(A.entries, jacobian, last[polish])
         candidates += _gated_pairs(A, last, "sshopm")

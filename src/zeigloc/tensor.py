@@ -475,7 +475,8 @@ def serialize_tensor(A: Tensor) -> str:
 
 
 def load_tensor(path) -> Tensor:
-    """The tensor in the UTF-8 file at ``path``, read with universal newlines.
+    """The tensor in the UTF-8 file at ``path``, read with universal newlines
+    and without a leading byte-order mark.
 
     A file of at least ``_READ_FROM_PATH`` characters, pure ASCII and with
     none of ``_NUMPY_SPACES``, has the same lines for numpy's reader as for
@@ -484,7 +485,7 @@ def load_tensor(path) -> Tensor:
     it as ``parse_tensor`` hands it a text: as a list of lines.  Either way a
     body numpy refuses is read line by line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     by_path = (
         isinstance(path, (str, os.PathLike))

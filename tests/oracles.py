@@ -3,22 +3,22 @@
 Nothing here calls the library's vectorized code paths: row sums come from a
 plain loop over all index tuples, gradients from central finite differences,
 the localization sets and bounds from per-pair loops over their scalar
-definitions, weak symmetry from a loop over rows, tail tuples and their
-permutations, power-method eigenpairs from one run at a time over
-``brute_apply``, polished by Newton steps over ``brute_jacobian``, and the
-n = 2 root polish from ``np.polyval`` on numpy scalars; the text
-format is read and written one record at a time.  Only ``IntervalSet``,
+definitions on plain (lo, hi) intervals, weak symmetry from a loop over
+rows, tail tuples and their permutations, power-method eigenpairs from one
+run at a time over ``brute_apply``, polished by Newton steps over
+``brute_jacobian``, and the n = 2 root polish from ``np.polyval`` on numpy
+scalars; the text format is read and written one record at a time.  Only
 ``Tensor``, ``TensorFormatError`` and ``MAX_DENSE_ENTRIES`` come from the
 library.
 """
 
+import functools
 import itertools
 import math
 import re
 
 import numpy as np
 
-from zeigloc.intervals import IntervalSet
 from zeigloc.tensor import MAX_DENSE_ENTRIES, Tensor, TensorFormatError
 
 
@@ -41,13 +41,12 @@ def brute_row_aggregates(entries: np.ndarray):
     return R, r_delta, r_bar
 
 
-def quadratic_region(a: float, b: float, c: float) -> IntervalSet:
-    """Solution set {t >= 0 : (t - a)(t - b) <= c} for c >= 0.
+def quadratic_region(a: float, b: float, c: float):
+    """Solution set {t >= 0 : (t - a)(t - b) <= c} for c >= 0, as (lo, hi).
 
     The roots are ((a + b) +- sqrt((a - b)^2 + 4c)) / 2; with c >= 0 the
     discriminant is never negative, so the region is a single closed interval
-    clipped to the nonnegative axis (possibly empty when both roots are
-    negative).
+    clipped to the nonnegative axis, or None when both roots are negative.
     """
     if c < 0:
         raise ValueError(f"quadratic_region needs c >= 0, got {c}")
@@ -55,35 +54,50 @@ def quadratic_region(a: float, b: float, c: float) -> IntervalSet:
     root = math.sqrt(d * d + 4.0 * c)
     hi = ((a + b) + root) / 2.0
     if hi < 0:
-        return IntervalSet.empty()
+        return None
     lo = max(0.0, ((a + b) - root) / 2.0)
-    return IntervalSet.closed(lo, hi)
+    return (lo, hi)
 
 
-def _intersect_all(regions):
-    out = regions[0]
-    for r in regions[1:]:
-        out = out.intersect(r)
-    return out
+def _intersect(a, b):
+    # two intervals (lo, hi) or None; None when they do not meet
+    if a is None or b is None:
+        return None
+    lo, hi = max(a[0], b[0]), min(a[1], b[1])
+    return (lo, hi) if lo <= hi else None
 
 
-def _unite_all(rows):
-    out = IntervalSet.empty()
-    for r in rows:
-        out = out.union(r)
-    return out
+def unite(intervals):
+    """The union of intervals (lo, hi), None skipped, as a sorted tuple of
+    disjoint intervals; overlapping and touching intervals merge."""
+    out = []
+    for lo, hi in sorted(iv for iv in intervals if iv is not None):
+        if out and lo <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], hi))
+        else:
+            out.append((lo, hi))
+    return tuple(out)
+
+
+def uncovered(a, b, slack: float):
+    """The intervals of ``a`` inside no interval of ``b`` widened by
+    ``slack`` on both sides (widened intervals that meet merge first); none
+    when ``a`` lies in ``b`` up to the slack."""
+    wide = unite((lo - slack, hi + slack) for lo, hi in b)
+    return [(lo, hi) for lo, hi in a if not any(wlo <= lo and hi <= whi for wlo, whi in wide)]
 
 
 def brute_sets(entries: np.ndarray):
     """{name: (set, per-row sets, families)} for K, L, Psi and Omega, one
     pair region at a time: each row intersects its regions over j != i, the
-    set unites the rows.  ``families`` is None except for Omega, whose rows
-    unite a "hat" and a "tilde" family."""
+    set unites the rows.  Every set is a tuple of intervals (lo, hi) as
+    ``unite`` returns it, () when empty.  ``families`` is None except for
+    Omega, whose rows unite a "hat" and a "tilde" family."""
     m, n = entries.ndim, entries.shape[0]
     R, r_delta, r_bar = brute_row_aggregates(entries)
     rows = {name: [] for name in ("K", "L", "Psi", "hat", "tilde")}
     for i in range(n):
-        disk = IntervalSet.closed(0.0, R[i])
+        disk = (0.0, R[i])
         regions = {name: [] for name in ("L", "Psi", "hat", "tilde")}
         for j in range(n):
             if j == i:
@@ -91,16 +105,16 @@ def brute_sets(entries: np.ndarray):
             a_ij = abs(float(entries[(i,) + (j,) * (m - 1)]))
             regions["L"].append(quadratic_region(R[i] - a_ij, 0.0, a_ij * R[j]))
             regions["Psi"].append(quadratic_region(r_bar[i, j], 0.0, r_delta[i, j] * R[j]))
-            regions["hat"].append(IntervalSet.closed(0.0, min(r_bar[i, j], r_delta[j, j])))
+            regions["hat"].append((0.0, min(r_bar[i, j], r_delta[j, j])))
             tilde = quadratic_region(r_bar[i, j], r_delta[j, j], r_delta[i, j] * r_bar[j, j])
-            regions["tilde"].append(tilde.intersect(disk))
-        rows["K"].append(disk)
+            regions["tilde"].append(_intersect(tilde, disk))
+        rows["K"].append(unite([disk]))
         for name, regs in regions.items():
-            rows[name].append(_intersect_all(regs))
-    omega = [h.union(t) for h, t in zip(rows["hat"], rows["tilde"])]
-    out = {name: (_unite_all(rows[name]), tuple(rows[name]), None) for name in ("K", "L", "Psi")}
+            rows[name].append(unite([functools.reduce(_intersect, regs)]))
+    omega = [unite(h + t) for h, t in zip(rows["hat"], rows["tilde"])]
+    out = {name: (unite(sum(rows[name], ())), tuple(rows[name]), None) for name in ("K", "L", "Psi")}
     families = {"hat": tuple(rows["hat"]), "tilde": tuple(rows["tilde"])}
-    out["Omega"] = (_unite_all(omega), tuple(omega), families)
+    out["Omega"] = (unite(sum(omega, ())), tuple(omega), families)
     return out
 
 

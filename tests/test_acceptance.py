@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+import zeigloc.oracle as oracle_mod
 from oracles import fd_gradient, random_symmetric_tensor, random_tensor
 from zeigloc.bounds import bound_report
 from zeigloc.cli import main
@@ -108,9 +109,10 @@ def test_criterion_5_bound_chain_500_random_nonnegative():
     _report(5, violations == 0, f"500 random nonnegative tensors, {violations} ordering violations")
 
 
-def test_criterion_6_oracle_containment_100_symmetric():
+def test_criterion_6_oracle_containment_100_symmetric(monkeypatch):
+    monkeypatch.setattr(oracle_mod, "_POWER_STEPS", 400)
     rng = np.random.default_rng(404)
-    cfg = OracleConfig(starts=4, max_iter=400, seed=17)
+    cfg = OracleConfig(starts=4, seed=17)
     violations = 0
     pairs_seen = 0
     for _ in range(100):
@@ -129,9 +131,10 @@ def test_criterion_6_oracle_containment_100_symmetric():
                    f"{violations} containment violations")
 
 
-def test_criterion_7_cross_oracle_agreement_50_tensors():
+def test_criterion_7_cross_oracle_agreement_50_tensors(monkeypatch):
+    monkeypatch.setattr(oracle_mod, "_POWER_STEPS", 2000)
     rng = np.random.default_rng(505)
-    cfg = OracleConfig(starts=6, max_iter=2000, seed=29)
+    cfg = OracleConfig(starts=6, seed=29)
     mismatches = 0
     checked = 0
     for k in range(50):

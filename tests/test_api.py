@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import os
 import pathlib
@@ -5,6 +6,7 @@ import subprocess
 import sys
 
 import zeigloc
+from zeigloc import IntervalSet, OracleConfig
 
 # names the library no longer exports: build_sets and bound_report carry the
 # values of the sets and bounds, and weak_symmetry_check the exact verdict
@@ -61,6 +63,14 @@ def test_removed_names_are_gone():
         for name in names:
             assert not hasattr(mod, name), f"{module}.{name}"
             assert name not in getattr(mod, "__all__", ())
+
+
+def test_interval_set_and_oracle_config_keep_only_what_the_library_uses():
+    # the tests' references intersect and compare plain intervals, and the
+    # power-step budget is the constant oracle._POWER_STEPS
+    for name in ("intersect", "empty", "is_subset_of"):
+        assert not hasattr(IntervalSet, name), name
+    assert tuple(f.name for f in dataclasses.fields(OracleConfig)) == ("starts", "seed")
 
 
 def test_import_refuses_a_numpy_that_reads_float_indices():

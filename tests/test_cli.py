@@ -11,7 +11,7 @@ import zeigloc.oracle as oracle_mod
 import zeigloc.tensor as tensor_mod
 from oracles import random_symmetric_tensor
 from zeigloc.bounds import bound_report
-from zeigloc.cli import main, render_json, render_svg
+from zeigloc.cli import build_parser, main, render_json, render_svg
 from zeigloc.intervals import IntervalSet
 from zeigloc.localization import RowAggregates, SetReport, build_sets, row_aggregates
 from zeigloc.oracle import OracleConfig, sshopm
@@ -295,17 +295,38 @@ def test_sets_bounds_and_verify_make_one_aggregates_pass(capsys, layer_calls, ex
 
 
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv, usage, message",
     [
-        pytest.param(["verify", "--seed", "-1"], "seed >= 0, got -1", id="verify --seed -1"),
-        pytest.param(["zeig", "--max-iter", "0"], "max_iter >= 1, got 0", id="zeig --max-iter 0"),
+        pytest.param(["verify", "--seed", "-1"], False, "OracleConfig needs an integer seed >= 0, got -1",
+                     id="verify --seed -1"),
+        # the power-step budget is a constant of the oracle, not an option
+        pytest.param(["zeig", "--max-iter", "5"], True, "unrecognized arguments: --max-iter 5",
+                     id="zeig --max-iter 5"),
     ],
 )
-def test_bad_oracle_options_exit_2_before_any_layer(capsys, layer_calls, example2_path, argv, message):
-    code, out, err = run(capsys, argv[0], example2_path, *argv[1:])
+def test_bad_oracle_options_exit_2_before_any_layer(capsys, layer_calls, example2_path, argv, usage, message):
+    try:
+        code = main([argv[0], example2_path, *argv[1:]])
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
+    out, err = capsys.readouterr()
     assert (code, out) == (2, "")
-    assert err == f"zeigloc: error: OracleConfig needs an integer {message}\n"
+    assert err == (build_parser().format_usage() if usage else "") + f"zeigloc: error: {message}\n"
     assert layer_calls == []
+
+
+def test_zeig_structured_with_one_power_step(capsys, monkeypatch, example2_path):
+    # one power step per run: the polish alone brings runs to the gate, and
+    # the pairs that pass it make a valid document
+    monkeypatch.setattr(oracle_mod, "_POWER_STEPS", 1)
+    code, out, _ = run(capsys, "zeig", example2_path, "--format", "structured")
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc) == ["meta", "eigenpairs"]
+    assert doc["eigenpairs"]
+    for p in doc["eigenpairs"]:
+        assert list(p) == ["value", "vector", "residual", "source"]
+        assert p["source"] == "sshopm" and p["residual"] <= 1e-8
 
 
 def test_verify_example1_exit0(capsys, example1_path):

@@ -253,8 +253,9 @@ def test_sshopm_warns_when_nothing_converges(monkeypatch, example2):
     # one power step leaves both runs far from an eigenvector; without the
     # polish neither passes the gate
     monkeypatch.setattr(oracle_mod, "_newton_block", _unpolished)
+    monkeypatch.setattr(oracle_mod, "_POWER_STEPS", 1)
     with pytest.warns(RuntimeWarning, match="no candidate"):
-        pairs = sshopm(example2, OracleConfig(starts=1, max_iter=1, seed=3))
+        pairs = sshopm(example2, OracleConfig(starts=1, seed=3))
     assert pairs == []
 
 
@@ -269,13 +270,14 @@ def test_sign_symmetry_of_returned_pairs(example1, example2):
             assert mirrored == pytest.approx(p.residual, abs=1e-12)
 
 
-def test_sshopm_matches_circle_on_dimension2():
+def test_sshopm_matches_circle_on_dimension2(monkeypatch):
+    monkeypatch.setattr(oracle_mod, "_POWER_STEPS", 2000)
     rng = np.random.default_rng(83)
     for m in (3, 4):
         for _ in range(3):
             A = random_tensor(rng, m, 2)
             circle_values = [p.value for p in circle_solve(A)]
-            for p in sshopm(A, OracleConfig(starts=8, seed=19, max_iter=2000)):
+            for p in sshopm(A, OracleConfig(starts=8, seed=19)):
                 assert any(abs(p.value - v) <= 1e-6 for v in circle_values)
 
 
@@ -298,16 +300,17 @@ def test_sshopm_max_iter_one_counts_every_run(caplog, monkeypatch, example2):
     caplog.set_level(logging.DEBUG, logger="zeigloc.oracle")
     # no run reaches the hand-off step; without the polish every run is rejected
     monkeypatch.setattr(oracle_mod, "_newton_block", _unpolished)
+    monkeypatch.setattr(oracle_mod, "_POWER_STEPS", 1)
     with pytest.warns(RuntimeWarning, match="no candidate") as warned:
-        sshopm(example2, OracleConfig(starts=3, max_iter=1, seed=3))
+        sshopm(example2, OracleConfig(starts=3, seed=3))
     counts = _outcome_counts(caplog)
     assert counts == {"converged": 0, "max_iter": 6, "zero_image": 0, "rejected": 6}
     assert "converged 0, max_iter 6, zero_image 0, rejected 6" in str(warned[0].message)
 
 
 def test_sshopm_polishes_every_run_not_on_a_zero_image(caplog, monkeypatch, example2):
-    # the polish gets exactly the runs that stopped on the hand-off step or at
-    # max_iter, and a chunk's power phase takes at most max_iter steps
+    # the polish gets exactly the runs that stopped on the hand-off step or
+    # after _POWER_STEPS steps, and a chunk's power phase takes at most that many
     caplog.set_level(logging.DEBUG, logger="zeigloc.oracle")
     apply_block, power_block, newton_block = (
         oracle_mod._apply_block, oracle_mod._power_block, oracle_mod._newton_block)
@@ -336,18 +339,18 @@ def test_sshopm_polishes_every_run_not_on_a_zero_image(caplog, monkeypatch, exam
     monkeypatch.setattr(oracle_mod, "_newton_block", counted_newton)
     # four runs' intermediates per chunk: 14 runs in 4 chunks
     monkeypatch.setattr(oracle_mod, "_BLOCK_DOUBLES", 4 * (3 + 9))
-    cfg = OracleConfig(starts=7, max_iter=12, seed=5)
-    sshopm(example2, cfg)
+    monkeypatch.setattr(oracle_mod, "_POWER_STEPS", 12)
+    sshopm(example2, OracleConfig(starts=7, seed=5))
     counts = _outcome_counts(caplog)
     assert counts["converged"] > 0 and counts["max_iter"] > 0 and counts["zero_image"] == 7
     assert len(polished) == len(handed) == 4
     for got, want in zip(polished, handed):
         assert np.array_equal(got, want)
     assert sum(map(len, polished)) == counts["converged"] + counts["max_iter"]
-    assert max(steps) == cfg.max_iter
+    assert max(steps) == 12
 
 
-@pytest.mark.parametrize("field", ["starts", "max_iter", "seed"])
+@pytest.mark.parametrize("field", ["starts", "seed"])
 @pytest.mark.parametrize("value", [2.5, 3.0, "3", None, -1])
 def test_oracle_config_refuses_non_integers(field, value):
     # a float or negative count or seed would otherwise fail later, inside sshopm
@@ -356,18 +359,19 @@ def test_oracle_config_refuses_non_integers(field, value):
 
 
 def test_oracle_config_takes_numpy_integers():
-    cfg = OracleConfig(starts=np.int64(3), max_iter=np.int32(5), seed=np.uint8(7))
+    cfg = OracleConfig(starts=np.int64(3), seed=np.uint8(7))
     assert len(sshopm(Tensor.zeros(3, 3), cfg)) > 0
 
 
-def test_sshopm_zero_image_keeps_its_start():
+def test_sshopm_zero_image_keeps_its_start(monkeypatch):
     # shift 0 on the zero tensor: every image vanishes before the first step
+    monkeypatch.setattr(oracle_mod, "_POWER_STEPS", 1000)
     A = Tensor.zeros(3, 3)
     starts = np.random.default_rng(1).standard_normal((8, 3))
     starts /= np.linalg.norm(starts, axis=1, keepdims=True)
     sign = np.tile([[1.0], [-1.0]], (4, 1))
     with np.errstate(all="raise"):
-        last, how = oracle_mod._power_block(A.entries, starts, sign, 0.0, 1000)
+        last, how = oracle_mod._power_block(A.entries, starts, sign, 0.0)
     assert how.tolist() == [oracle_mod._ZERO_IMAGE] * 8
     assert np.array_equal(last, starts)
     pairs = oracle_mod._gated_pairs(A, last, "sshopm")
@@ -425,23 +429,24 @@ def test_sshopm_chunked_block_matches_unchunked(monkeypatch):
 def test_sshopm_matches_scalar_reference(monkeypatch):
     rng = np.random.default_rng(20261018)
     panel = [
-        (3, 3, True, OracleConfig(starts=4, seed=1), 1e-10),
-        (3, 4, False, OracleConfig(starts=3, seed=2), 1e-10),
-        (4, 3, True, OracleConfig(starts=3, seed=3), 1e-13),
-        (4, 4, False, OracleConfig(starts=2, seed=4), 1e-10),
-        (5, 3, True, OracleConfig(starts=1, seed=5), 1e-10),
-        (5, 3, False, OracleConfig(starts=3, seed=6, max_iter=1), 1e-10),
-        (6, 3, True, OracleConfig(starts=2, seed=7), 1e-10),
-        (6, 3, False, OracleConfig(starts=1, seed=8), 1e-13),
-        (3, 8, True, OracleConfig(starts=2, seed=9), 1e-10),
-        (3, 6, False, OracleConfig(starts=2, seed=10, max_iter=1), 1e-10),
+        (3, 3, True, OracleConfig(starts=4, seed=1), 200, 1e-10),
+        (3, 4, False, OracleConfig(starts=3, seed=2), 200, 1e-10),
+        (4, 3, True, OracleConfig(starts=3, seed=3), 200, 1e-13),
+        (4, 4, False, OracleConfig(starts=2, seed=4), 200, 1e-10),
+        (5, 3, True, OracleConfig(starts=1, seed=5), 200, 1e-10),
+        (5, 3, False, OracleConfig(starts=3, seed=6), 1, 1e-10),
+        (6, 3, True, OracleConfig(starts=2, seed=7), 200, 1e-10),
+        (6, 3, False, OracleConfig(starts=1, seed=8), 200, 1e-13),
+        (3, 8, True, OracleConfig(starts=2, seed=9), 200, 1e-10),
+        (3, 6, False, OracleConfig(starts=2, seed=10), 1, 1e-10),
     ]
-    for m, n, symmetric, cfg, stop in panel:
+    for m, n, symmetric, cfg, steps, stop in panel:
         A = random_symmetric_tensor(rng, m, n) if symmetric else random_tensor(rng, m, n)
-        want = scalar_sshopm(A, cfg.starts, cfg.max_iter, stop, seed=cfg.seed)
+        want = scalar_sshopm(A, cfg.starts, steps, stop, seed=cfg.seed)
+        monkeypatch.setattr(oracle_mod, "_POWER_STEPS", steps)
         monkeypatch.setattr(oracle_mod, "_NEWTON_STOP", stop)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # max_iter=1 keeps no pair
+            warnings.simplefilter("ignore", RuntimeWarning)  # one power step keeps no pair
             got = sshopm(A, cfg)
         assert len(got) == len(want), (m, n, cfg)
         for p, (value, x) in zip(got, want):

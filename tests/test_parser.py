@@ -456,17 +456,49 @@ def test_load_by_path_matches_parse_of_the_text(numpy_reads, tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = outcome(tensor_module.load_tensor, path)
-        assert got == outcome(parse_tensor, text), name
+        # a file's leading byte-order mark is skipped; a string's is not
+        assert got == outcome(parse_tensor, text.removeprefix("\ufeff")), name
     taken = {int(Path(p).stem) for p in numpy_reads.paths}
     assert {k for k, (name, _) in enumerate(cases) if name == "valid"} <= taken
     for k, (name, _) in enumerate(cases):
-        if name.endswith(("in a record", "between records", "BOM")):
+        if name.endswith(("in a record", "between records")):
             assert k not in taken, name
-    assert {cases[k][0] for k in taken} >= {"CRLF", "CR", "before the header", "1_0", "bad"}
+    assert {cases[k][0] for k in taken} >= {"CRLF", "CR", "BOM", "before the header", "1_0", "bad"}
     # numpy's reader would decompress a path with this suffix
     path = tmp_path / "plain.txt.gz"
     path.write_text(cases[0][1], encoding="utf-8")
     assert outcome(tensor_module.load_tensor, path) == outcome(parse_tensor, cases[0][1])
+
+
+@pytest.mark.parametrize("route", ["lines", "path"])
+def test_load_skips_a_byte_order_mark(monkeypatch, tmp_path, route):
+    # a full listing of (3,3) goes to numpy's reader as lines, one of (3,15)
+    # by path; the mark sits on the header's line, which numpy's reader skips
+    n = 3 if route == "lines" else 15
+    rows = [f"{i} {j} {k} {(i * j + k) % 7 / 7}" for i, j, k in itertools.product(range(1, n + 1), repeat=3)]
+    text = f"tensor m=3 n={n}\n" + "\n".join(rows) + "\n"
+    assert (len(text) >= tensor_module._READ_FROM_PATH) == (route == "path")
+    bad = text.replace(f"\n{rows[-2]}\n", f"\n{rows[-2].rsplit(' ', 1)[0]} bad\n")
+    via = []
+    load_records = tensor_module._load_records
+
+    def spy(source, *args, **kwargs):
+        via.append("path" if isinstance(source, str) else "lines")
+        return load_records(source, *args, **kwargs)
+
+    monkeypatch.setattr(tensor_module, "_load_records", spy)
+    plain, marked = tmp_path / "plain.txt", tmp_path / "bom.txt"
+    for body, want in ((text, "ok"), (bad, "error")):
+        plain.write_bytes(body.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + body.encode())
+        got = outcome(tensor_module.load_tensor, marked)
+        assert got == outcome(tensor_module.load_tensor, plain)
+        assert got[0] == want
+    assert got[2] == (len(rows),)  # the line of rows[-2], after the header's
+    assert via == [route] * 4
+    # parse_tensor takes a string as it is: the mark is part of the header
+    got = outcome(parse_tensor, "\ufeff" + text)
+    assert got[0] == "error" and got[1].startswith("malformed header '\\ufefftensor") and got[2] == (1,)
 
 
 def test_load_by_path_holds_no_string_per_line(tmp_path):

@@ -1,5 +1,6 @@
-"""Property tests: the ``IntervalSet`` laws, the inclusion chain and the
-bound order on generated tensors, and the text format's round trips.
+"""Property tests: the ``IntervalSet`` laws and the tests' plain-interval
+reference against them, the inclusion chain and the bound order on
+generated tensors, and the text format's round trips.
 Examples are derandomized, so every run checks the same cases."""
 
 import itertools
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import uncovered, unite
 from zeigloc.bounds import bound_report
 from zeigloc.intervals import IntervalSet
 from zeigloc.localization import build_sets, inclusion_chain_check, row_aggregates
@@ -48,12 +50,18 @@ def test_canonical_form_sorted_disjoint_with_gaps(intervals):
 
 @PROPERTY
 @given(interval_sets, interval_sets, interval_sets)
-def test_union_and_intersection_laws(a, b, c):
-    for op in (IntervalSet.union, IntervalSet.intersect):
-        assert op(a, b) == op(b, a)
-        assert op(op(a, b), c) == op(a, op(b, c))
-        assert op(a, a) == a
-    assert a.intersect(b.union(c)) == a.intersect(b).union(a.intersect(c))
+def test_union_laws(a, b, c):
+    assert a.union(b) == b.union(a)
+    assert a.union(b).union(c) == a.union(b.union(c))
+    assert a.union(a) == a
+
+
+@PROPERTY
+@given(interval_lists, interval_sets, interval_sets, st.sampled_from([0.0, 0.125, 0.5]))
+def test_reference_intervals_agree_with_interval_set(intervals, a, b, slack):
+    # the tests' set reference unites and compares plain intervals on its own
+    assert unite(intervals) == IntervalSet(intervals).intervals
+    assert uncovered(a.intervals, b.intervals, slack) == a.uncovered_by(b, slack)
 
 
 @PROPERTY
