@@ -14,8 +14,12 @@ and Psi quadratics have root product -c <= 0, so their lower roots clip to 0:
 K, L and Psi rows are always ``[0, r]`` and their radii equal the bounds.
 Omega's "tilde" rows can be empty: the set leaves such a row out, while the
 "tilde" bound ignores whether a row is empty and can exceed the radius.
+Every root is homogeneous of degree 1 in the sums, so scaling a tensor by
+a power of two scales its sets and bounds exactly, up to where a row sum
+overflows.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -97,9 +101,10 @@ class SetReport:
         return self.set.sup()
 
 
-def _upper_root(a, c):
-    """Upper root of (t - a) t = c for c >= 0; the lower root is <= 0."""
-    return (a + np.sqrt(a * a + 4.0 * c)) / 2.0
+def _upper_root(a, c, scale):
+    """Upper root of (t - a) t = c for c >= 0, from a and c given times
+    ``scale`` and ``scale``^2; the lower root is <= 0."""
+    return (a + np.sqrt(a * a + 4.0 * c)) / (2.0 * scale)
 
 
 def _pair_intervals(agg: RowAggregates) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -116,19 +121,22 @@ def _pair_intervals(agg: RowAggregates) -> dict[str, tuple[np.ndarray, np.ndarra
     Every lo is >= 0, and only tilde's can be positive.  The diagonal j == i
     is masked to [0, inf), so it never limits a row.
     """
-    R, rb, rd, d = agg.R, agg.r_bar, agg.r_delta, agg.diag
+    # from a largest row sum of 2^500 on, the roots are taken on the sums
+    # scaled down by a power of two (exact), so squares and products stay finite
+    scale = 2.0 ** min(0, 500 - math.frexp(agg.R.max())[1])
+    R, rb, rd, d = (x * scale for x in (agg.R, agg.r_bar, agg.r_delta, agg.diag))
     self_delta, self_bar = np.diagonal(rd), np.diagonal(rb)
     zero = np.zeros_like(rb)
     # tilde roots ((a + b) +- sqrt((a - b)^2 + 4c)) / 2, clipped to [0, R_i]
     total = rb + self_delta
     root = np.sqrt((rb - self_delta) ** 2 + 4.0 * (rd * self_bar))
-    tilde_lo = np.maximum((total - root) / 2.0, 0.0)
+    tilde_lo = np.maximum((total - root) / (2.0 * scale), 0.0)
     np.fill_diagonal(tilde_lo, 0.0)
     pairs = {
-        "L": (zero, _upper_root(R[:, None] - d, d * R)),
-        "Psi": (zero, _upper_root(rb, rd * R)),
-        "hat": (zero, np.minimum(rb, self_delta)),
-        "tilde": (tilde_lo, np.minimum((total + root) / 2.0, R[:, None])),
+        "L": (zero, _upper_root(R[:, None] - d, d * R, scale)),
+        "Psi": (zero, _upper_root(rb, rd * R, scale)),
+        "hat": (zero, np.minimum(agg.r_bar, np.diagonal(agg.r_delta))),
+        "tilde": (tilde_lo, np.minimum((total + root) / (2.0 * scale), agg.R[:, None])),
     }
     for lo, hi in pairs.values():
         np.fill_diagonal(hi, np.inf)

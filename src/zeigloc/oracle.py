@@ -12,15 +12,14 @@ residual gate, which is all the inclusion checks need.
 Both tiers contract the tensor with a block of vectors at once through
 ``tensor._apply_block``: the power step iterates a block of runs, the polish
 takes one Newton step for a block of runs with the Jacobians contracted
-from ``tensor._jacobian_tensor`` (summed at most once per ``sshopm`` call),
-and the candidate directions of either tier, the roots' lines or the runs'
+from ``tensor._jacobian_tensor`` (summed once per ``sshopm`` call), and the
+candidate directions of either tier, the roots' lines or the runs'
 last iterates, pass the gate as one block, with lambda = x . A x^(m-1) and
 the residual ||A x^(m-1) - lambda x|| from the same contraction.  Both
 tiers end in ``_distinct_pairs``, which keeps one pair per eigenvalue and
 line and sorts them.
 """
 
-import functools
 import logging
 import math
 import operator
@@ -52,10 +51,6 @@ _NEWTON_STOP = 1e-10
 # many steps: the power phase only has to bring a run into the polish's basin
 _HAND_OFF = 1e-3
 _POWER_STEPS = 200
-
-# how a power-iteration run stopped, in the order of the diagnostic counts
-_OUTCOMES = ("converged", "max_iter", "zero_image")
-_CONVERGED, _MAX_ITER, _ZERO_IMAGE = range(len(_OUTCOMES))
 
 logger = logging.getLogger(__name__)
 
@@ -200,48 +195,37 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
 
 def _power_block(entries, X, sign, alpha):
     """Iterate every row of the unit block X at once; return the last
-    iterates and how each run stopped (an index into ``_OUTCOMES``).
+    iterates and a mask of the runs that stopped on a step <= ``_HAND_OFF``.
 
     A step contracts the whole block with the tensor ``entries`` in one
     ``_apply_block`` call and maps row x to normalize(sign A x^(m-1) + alpha x).
-    A run leaves the block on a step <= ``_HAND_OFF``, on an image of norm
-    < 1e-300, where it keeps its current iterate, or after ``_POWER_STEPS``
-    steps.  At these sizes a step costs mostly numpy call overhead, so the
-    stop tests read one minimum per step, and the block is only shrunk on a
-    step where some run stopped.
+    A run leaves the block on a step <= ``_HAND_OFF`` or after
+    ``_POWER_STEPS`` steps; a run whose image overflows turns NaN and stays
+    to the end.  At these sizes a step costs mostly numpy call overhead, so
+    the stop test reads one minimum per step, and the block is only shrunk
+    on a step where some run stopped.
     """
     out = np.empty_like(X)
-    how = np.full(len(X), _MAX_ITER)
+    converged = np.zeros(len(X), dtype=bool)
     run = np.arange(len(X))  # block row -> run
     for _ in range(_POWER_STEPS):
         Y = _apply_block(entries, X)
         Y *= sign
         Y += alpha * X
-        nrm = _row_norms(Y)
-        # item(argmin()) is the minimum (NaN first) at a quarter of min()'s
-        # cost; "not >=" lets a NaN through to the exact mask
-        if not nrm.item(nrm.argmin()) >= 1e-300:
-            keep = _retire(out, how, run, nrm.ravel() < 1e-300, X, _ZERO_IMAGE)
-            X, Y, nrm, sign, run = X[keep], Y[keep], nrm[keep], sign[keep], run[keep]
-            if not run.size:
-                break
-        Y /= nrm
+        Y /= _row_norms(Y)
         step = _row_norms(Y - X)
         X = Y
+        # item(argmin()) is the minimum (NaN first) at a quarter of min()'s
+        # cost; "not >" lets a NaN through to the exact mask
         if not step.item(step.argmin()) > _HAND_OFF:
-            keep = _retire(out, how, run, step.ravel() <= _HAND_OFF, X, _CONVERGED)
-            X, sign, run = X[keep], sign[keep], run[keep]
+            stop = step.ravel() <= _HAND_OFF
+            out[run[stop]] = X[stop]
+            converged[run[stop]] = True
+            X, sign, run = X[~stop], sign[~stop], run[~stop]
             if not run.size:
                 break
     out[run] = X
-    return out, how
-
-
-def _retire(out, how, run, stop, X, outcome):
-    """Store the stopped rows' iterates and outcome; return the rows kept."""
-    out[run[stop]] = X[stop]
-    how[run[stop]] = outcome
-    return ~stop
+    return out, converged
 
 
 def _eigen_residual(X, Y, lam):
@@ -271,8 +255,7 @@ def _solve_rows(M, b):
 def _newton_block(entries, jacobian, X):
     """Polish the unit rows of X by Newton's method on F(x, lambda) from
     lambda = x . A x^(m-1); return the polished rows, rescaled to unit length.
-    ``jacobian()`` returns ``_jacobian_tensor(entries)``; it is called only
-    on a step, so a block of exact eigenvectors never sums that tensor.
+    ``jacobian`` is ``_jacobian_tensor(entries)``.
 
     A step solves the bordered (S, n+1, n+1) systems [[J - lambda I, -x],
     [x^T, 0]] (dx, dlambda) = -F of the live rows in one call, with J the
@@ -292,7 +275,7 @@ def _newton_block(entries, jacobian, X):
             break
         x = X[live]
         M = np.zeros((len(live), n + 1, n + 1))
-        M[:, :n, :n] = _apply_block(jacobian(), x, keep=2).reshape(-1, n, n) - lam[live, None, None] * np.eye(n)
+        M[:, :n, :n] = _apply_block(jacobian, x, keep=2).reshape(-1, n, n) - lam[live, None, None] * np.eye(n)
         M[:, :n, n] = -x
         M[:, n, :n] = x
         d = _solve_rows(M, -F[live, :, None])[:, :, 0]
@@ -316,13 +299,13 @@ def sshopm(A: Tensor, cfg: OracleConfig | None = None) -> list[ZEigenPair]:
     The positive shift walks toward large eigenvalues of the restricted
     polynomial, the negative one toward small ones.  The power phase only
     has to bring a run into the polish's basin: a run stops on
-    ||x_k+1 - x_k|| <= ``_HAND_OFF``, after ``_POWER_STEPS`` steps (the
-    outcome max_iter), or on an image of norm < 1e-300, where it keeps its
-    current iterate.  Every run but those on a zero image then converges
+    ||x_k+1 - x_k|| <= ``_HAND_OFF`` (the outcome converged) or after
+    ``_POWER_STEPS`` steps (the outcome max_iter).  Every run then converges
     quadratically in ``_newton_block``, which stops a run on a Newton step
-    ||dx|| <= ``_NEWTON_STOP``.  The tensor of the Jacobians is summed at
-    most once per call, on the first Newton step.  Only candidates passing
-    the residual gate are returned, one per eigenvalue and line.
+    ||dx|| <= ``_NEWTON_STOP``.  The tensor of the Jacobians is summed once
+    per call, before the first chunk.  Only candidates passing the residual
+    gate are returned, one per eigenvalue and line; a run whose image
+    overflows ends in NaN and fails the gate.
 
     All ``2 * starts`` runs (start r // 2, shift sign + for even r) iterate
     as one block, in chunks that keep the contraction intermediates within
@@ -330,31 +313,26 @@ def sshopm(A: Tensor, cfg: OracleConfig | None = None) -> list[ZEigenPair]:
     residual gate together: one more block contraction gives every run's
     eigenvalue and residual.  Each call logs, at debug level on the
     ``zeigloc.oracle`` logger, how many runs converged (stopped on the
-    hand-off step), hit max_iter, stopped on a zero image and failed the
-    residual gate, and the shift; the first two counts are the polished runs.
+    hand-off step), hit max_iter and failed the residual gate, and the shift.
     """
     cfg = cfg or OracleConfig()
     alpha = A.order * A.max_abs_entry() + 1.0
     rng = np.random.default_rng(cfg.seed)
     starts = rng.standard_normal((cfg.starts, A.dim))
-    nrm = _row_norms(starts)
-    starts = np.where(nrm < 1e-12, np.eye(1, A.dim), starts / np.maximum(nrm, 1e-12))
+    starts /= _row_norms(starts)
 
     X = np.repeat(starts, 2, axis=0)
     sign = np.tile([[1.0], [-1.0]], (cfg.starts, 1))
     # doubles of one run's intermediates: A x^(m-1) on the way down to length n
     chunk = max(1, _BLOCK_DOUBLES // sum(A.dim**k for k in range(1, A.order)))
-    jacobian = functools.cache(lambda: _jacobian_tensor(A.entries))
-    candidates, how = [], []
+    jacobian = _jacobian_tensor(A.entries)
+    candidates, converged = [], 0
     for lo in range(0, len(X), chunk):
         last, stopped = _power_block(A.entries, X[lo : lo + chunk], sign[lo : lo + chunk], alpha)
-        polish = stopped != _ZERO_IMAGE
-        last[polish] = _newton_block(A.entries, jacobian, last[polish])
-        candidates += _gated_pairs(A, last, "sshopm")
-        how.append(stopped)
-    how = np.concatenate(how)
-    counts = dict(zip(_OUTCOMES, np.bincount(how, minlength=len(_OUTCOMES)).tolist()))
-    counts["rejected"] = len(X) - len(candidates)
+        candidates += _gated_pairs(A, _newton_block(A.entries, jacobian, last), "sshopm")
+        converged += int(stopped.sum())
+    counts = {"converged": converged, "max_iter": len(X) - converged,
+              "rejected": len(X) - len(candidates)}
     summary = ", ".join(f"{k} {v}" for k, v in counts.items())
     logger.debug("sshopm: %d runs, shift %g: %s", len(X), alpha, summary)
 

@@ -47,6 +47,8 @@ REMOVED = {
         "_make_pair", "_canonical_sign",
         # _distinct_pairs is the one final step of both solvers
         "_dedupe", "_sorted_pairs", "_circle_pairs",
+        # every power run goes to the polish: no zero-image outcome
+        "_ZERO_IMAGE", "_OUTCOMES", "_retire",
     ),
 }
 

@@ -254,7 +254,9 @@ def test_scaling_covariance():
     A = random_tensor(rng, 3, 3)
     agg = row_aggregates(A)
     radii = {name: rep.radius for name, rep in build_sets(agg).items()}
-    for s in (0.5, 3.0, 1e3):
+    bounds = bound_report(agg).values()
+    # at 2^512 and 2^1000 the squares and products of two row sums overflow
+    for s in (0.5, 3.0, 1e3, 2.0**512, 2.0**1000):
         B = Tensor(A.order, A.dim, s * A.entries)
         agg_s = row_aggregates(B)
         assert np.allclose(agg_s.R, s * agg.R, rtol=1e-12)
@@ -262,6 +264,8 @@ def test_scaling_covariance():
         assert np.allclose(agg_s.r_bar, s * agg.r_bar, rtol=1e-12, atol=1e-300)
         for name, rep in build_sets(agg_s).items():
             assert rep.radius == pytest.approx(s * radii[name], rel=1e-12)
+        for name, value in bound_report(agg_s).values().items():
+            assert value == pytest.approx(s * bounds[name], rel=1e-12)
 
 
 def test_radius_monotone_under_entry_growth():
