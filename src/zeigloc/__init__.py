@@ -36,7 +36,6 @@ from .oracle import (
     VerificationDocument,
     ZEigenPair,
     circle_solve,
-    residual,
     solve,
     sshopm,
     verify_inclusion,
@@ -81,7 +80,6 @@ __all__ = [
     "load_tensor",
     "parse_tensor",
     "polyval",
-    "residual",
     "row_aggregates",
     "serialize_tensor",
     "solve",

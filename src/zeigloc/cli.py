@@ -6,7 +6,8 @@ most once.  ``meta`` plus the sections make one structured document, and
 every output format renders from it.  The structured format prints the
 document as one JSON line, each value at full precision (the shortest decimal
 that reads back as the same double); the tables print the same values at 4
-decimals; the plot-data and svg formats of ``sets`` draw its sets section.
+decimals, in exponent form from 1e4 on; the plot-data and svg formats of
+``sets`` draw its sets section.
 Exit codes: 0 success or verified, 1 verification failure, 2 input error.
 """
 
@@ -52,7 +53,11 @@ def _flag(b: bool) -> str:
 
 
 def _fmt(v) -> str:
-    return "-" if v is None else f"{v:.4f}"
+    """4 decimals below 1e4 in magnitude (after that rounding), 3 significant
+    digits in exponent form above: at most 10 characters, a table column."""
+    if v is None:
+        return "-"
+    return f"{v:.4f}" if round(abs(v), 4) < 1e4 else f"{v:.2e}"
 
 
 # ------------------------------------------------ run record and doc sections

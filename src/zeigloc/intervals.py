@@ -43,10 +43,6 @@ class IntervalSet:
     def closed(cls, lo: float, hi: float) -> "IntervalSet":
         return cls(((lo, hi),))
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.intervals
-
     def sup(self):
         """Largest point of the set, or None when empty."""
         return self.intervals[-1][1] if self.intervals else None
@@ -60,13 +56,12 @@ class IntervalSet:
             raise ValueError("slack must be >= 0")
         return any(lo - slack <= t <= hi + slack for lo, hi in self.intervals)
 
-    def inflate(self, slack: float) -> "IntervalSet":
-        return IntervalSet((max(0.0, lo - slack), hi + slack) for lo, hi in self.intervals)
-
     def uncovered_by(self, other: "IntervalSet", slack: float = 0.0):
         """Intervals of self not contained in a single interval of ``other``
         inflated by ``slack``.  Empty list means self is a subset of other."""
-        big = other.inflate(slack) if slack > 0 else other
+        big = other
+        if slack > 0:  # inflated intervals that come to touch merge
+            big = IntervalSet((max(0.0, lo - slack), hi + slack) for lo, hi in other.intervals)
         bad = []
         for lo, hi in self.intervals:
             if not any(blo <= lo and hi <= bhi for blo, bhi in big.intervals):
@@ -80,7 +75,7 @@ class IntervalSet:
         return hash(self.intervals)
 
     def __repr__(self):
-        if self.is_empty:
+        if not self.intervals:
             return "IntervalSet(empty)"
         body = " u ".join(f"[{lo:g}, {hi:g}]" for lo, hi in self.intervals)
         return f"IntervalSet({body})"

@@ -30,7 +30,7 @@ import numpy as np
 
 from .bounds import BoundReport
 from .localization import SET_NAMES, SetReport
-from .tensor import Tensor, _apply_block, _jacobian_tensor, apply
+from .tensor import Tensor, _apply_block, _jacobian_tensor
 
 # a candidate must satisfy the eigen equation to this residual to be returned
 RESIDUAL_ACCEPT = 1e-8
@@ -81,12 +81,6 @@ class OracleConfig:
                 ok = False
             if not ok:
                 raise ValueError(f"OracleConfig needs an integer {name} >= {least}, got {value!r}")
-
-
-def residual(A: Tensor, value: float, vector) -> float:
-    """Euclidean norm of A x^(m-1) - value * x."""
-    x = np.asarray(vector, dtype=float)
-    return float(np.linalg.norm(apply(A, x) - value * x))
 
 
 def _gated_pairs(A: Tensor, X: np.ndarray, source: str) -> list[ZEigenPair]:
@@ -169,7 +163,7 @@ def circle_solve(A: Tensor) -> list[ZEigenPair]:
     if A.dim != 2:
         raise ValueError(f"circle_solve needs dimension 2, got {A.dim}")
     flat = A.entries.reshape(2, -1)
-    twos = np.array([bin(k).count("1") for k in range(flat.shape[1])])
+    twos = np.bitwise_count(np.arange(flat.shape[1]))
     y1, y2 = (np.bincount(twos, weights=row, minlength=A.order) for row in flat)
     g = np.append(y1[::-1], 0.0) - np.append(0.0, y2[::-1])  # descending powers of t
 

@@ -1,9 +1,9 @@
 """Dense real tensors of order m, dimension n, and their multilinear operations.
 
 A tensor here is a dense array of n**m real entries addressed by an m-tuple of
-indices.  Indices are 1-based in every external interface (the text format and
-the ``entry`` accessor) and 0-based internally; the parser and serializer are
-the only places that translate between the two.
+indices.  Indices are 1-based in the text format only; ``entries`` takes them
+0-based, and the parser and serializer are the only code that translates
+between the two.
 """
 
 import itertools
@@ -77,20 +77,6 @@ class Tensor:
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
-
-    @classmethod
-    def zeros(cls, order: int, dim: int) -> "Tensor":
-        return cls(order, dim, np.zeros((dim,) * order))
-
-    def entry(self, indices) -> float:
-        """Entry at a 1-based index tuple."""
-        idx = tuple(indices)
-        if len(idx) != self.order:
-            raise ValueError(f"expected {self.order} indices, got {len(idx)}")
-        for i in idx:
-            if not 1 <= i <= self.dim:
-                raise ValueError(f"index {i} out of range 1..{self.dim}")
-        return float(self.entries[tuple(i - 1 for i in idx)])
 
     def max_abs_entry(self) -> float:
         return float(max(self.entries.max(), -self.entries.min()))  # no |entries| copy
@@ -240,6 +226,7 @@ def weak_symmetry_check(A: Tensor) -> WeakSymmetryCheck:
     _fill_orbits(keys)
     keys = keys.ravel()
     sorted_flat = np.flatnonzero(keys == np.arange(keys.size))
+    orbits = sorted_flat.size
     # rank[f]: column of tail f's sorted tuple among the sorted tails (in
     # lexicographic order).  tables[:, i, r]: mean, max and min of a[i, .]
     # over the orbit of sorted tail r, counts[r] tails; a pass per row builds
@@ -249,28 +236,34 @@ def weak_symmetry_check(A: Tensor) -> WeakSymmetryCheck:
     counts = np.bincount(rank)
     # means of entries scaled by a power of two: exact, and no sum of m! of them overflows
     scale = 2.0 ** min(0, 1020 - math.frexp(A.max_abs_entry())[1] - math.factorial(m).bit_length())
-    tables = np.empty((3, n, sorted_flat.size))
+    tables = np.empty((3, n, orbits))
     tables[1], tables[2] = -np.inf, np.inf
     for i, row in enumerate(A.entries.reshape(n, -1)):
-        tables[0, i] = np.bincount(rank, row * scale, sorted_flat.size)
+        tables[0, i] = np.bincount(rank, row * scale, orbits)
         np.maximum.at(tables[1, i], rank, row)
         np.minimum.at(tables[2, i], rank, row)
     tables[0] /= counts
     tables = tables.reshape(3, -1)  # column i * orbits + r
+    # drop[q][r]: flat index of sorted tail r without its position q, among
+    # the (m-2)-tuples (all zeros at m = 2)
+    drop = [sorted_flat // n ** (m - 1 - q) * n ** (m - 2 - q) + sorted_flat % n ** (m - 2 - q)
+            for q in range(m - 1)]
 
     worst = spread = 0.0
-    step = max(1, _ORBIT_BLOCK // sorted_flat.size)
+    step = max(1, _ORBIT_BLOCK // orbits)
     for start in range(0, n, step):
         # every sorted m-tuple is s = (i, t) with i <= t[0]
         i, r = np.nonzero(np.arange(start, min(start + step, n))[:, None] <= tails[0])
-        s = np.stack([i + start, *(t[r] for t in tails)])
-        # (m, 3, tuples): the tables at (s[p], s without s[p])
-        cols = [s[p] * sorted_flat.size + rank[np.ravel_multi_index(np.delete(s, p, 0), tail_shape)]
-                for p in range(m)]
-        at = np.stack([tables.take(c, axis=1) for c in cols])
-        worst = max(worst, float(np.max(np.abs(at[:, 0] - at[:, 0].mean(axis=0)))))
+        i += start
+        # (3, m, tuples): the tables at (s[p], s without s[p]); s without s[0]
+        # is tail r, and s without s[q+1] is i followed by tail r without q
+        head = i * n ** (m - 2)
+        cols = np.stack([i * orbits + r,
+                         *(t[r] * orbits + rank[head + d[r]] for t, d in zip(tails, drop))])
+        at = tables.take(cols, axis=1)
+        worst = max(worst, float(np.max(np.abs(at[0] - at[0].mean(axis=0)))))
         with np.errstate(over="ignore"):  # a spread beyond the largest double is inf
-            spread = max(spread, float(np.max(at[:, 1].max(axis=0) - at[:, 2].min(axis=0))))
+            spread = max(spread, float(np.max(at[1].max(axis=0) - at[2].min(axis=0))))
     worst /= scale
     threshold = WEAK_SYMMETRY_TOL * (1.0 + A.max_abs_entry())
     return WeakSymmetryCheck(worst <= threshold, worst, threshold, WEAK_SYMMETRY_TOL, spread)
@@ -445,8 +438,8 @@ def _parse(text: str, path=None) -> Tensor:
     return Tensor._adopt(arr.reshape(shape))
 
 
-def parse_tensor(source) -> Tensor:
-    """Parse the tensor text format from a string or a readable file object.
+def parse_tensor(text: str) -> Tensor:
+    """Parse the tensor text format from a string; ``load_tensor`` reads a file.
 
     numpy's C reader reads the body's lines in one call into one record
     array; a body it refuses, or with a bad index or value, is read line by
@@ -458,7 +451,7 @@ def parse_tensor(source) -> Tensor:
     ``symmetric`` flag).  Parse errors win over conflicts.  With the flag,
     every entry then takes its sorted tuple's entry in place.
     """
-    return _parse(source.read() if hasattr(source, "read") else source)
+    return _parse(text)
 
 
 def serialize_tensor(A: Tensor) -> str:

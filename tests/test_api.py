@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import zeigloc
-from zeigloc import IntervalSet, OracleConfig
+from zeigloc import IntervalSet, OracleConfig, Tensor
 
 # names the library no longer exports: build_sets and bound_report carry the
 # values of the sets and bounds, and weak_symmetry_check the exact verdict
@@ -18,6 +18,8 @@ REMOVED = {
         "is_symmetric",
         # serialize_tensor lists the entries the text format holds
         "EntryRecord", "nonzero_records",
+        # the residual gate of the oracle is the one residual formula
+        "residual",
     ),
     # numpy's reader takes each body whole; _read_record reads one it refuses
     "zeigloc.tensor": (
@@ -49,6 +51,8 @@ REMOVED = {
         "_dedupe", "_sorted_pairs", "_circle_pairs",
         # every power run goes to the polish: no zero-image outcome
         "_ZERO_IMAGE", "_OUTCOMES", "_retire",
+        # the residual gate of _gated_pairs is the one residual formula
+        "residual", "apply",
     ),
 }
 
@@ -69,9 +73,13 @@ def test_removed_names_are_gone():
 
 def test_interval_set_and_oracle_config_keep_only_what_the_library_uses():
     # the tests' references intersect and compare plain intervals, and the
-    # power-step budget is the constant oracle._POWER_STEPS
-    for name in ("intersect", "empty", "is_subset_of"):
+    # power-step budget is the constant oracle._POWER_STEPS.  A zero tensor is
+    # Tensor(m, n, zeros), its entries are read from the 0-based array, and
+    # uncovered_by inflates the intervals it covers with
+    for name in ("intersect", "empty", "is_subset_of", "inflate", "is_empty"):
         assert not hasattr(IntervalSet, name), name
+    for name in ("zeros", "entry"):
+        assert not hasattr(Tensor, name), name
     assert tuple(f.name for f in dataclasses.fields(OracleConfig)) == ("starts", "seed")
 
 

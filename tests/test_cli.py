@@ -135,6 +135,33 @@ def test_bounds_text_example2(capsys, example2_path):
     assert "nonnegative=yes" in out and "weakly_symmetric=yes" in out
 
 
+def test_tables_print_large_values_in_exponent_form(capsys, tmp_path):
+    # row sums near 1e154: every value cell keeps to its 10-character column
+    path = tmp_path / "big.txt"
+    path.write_text("tensor m=3 n=3\n1 1 1 1e154\n2 2 2 -1e154\n1 2 3 5e153\n")
+    code, out, _ = run(capsys, "sets", str(path))
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "K       1.50e+154  [0.0000, 1.50e+154]",
+        "L       1.50e+154  [0.0000, 1.50e+154]",
+        "Psi     1.00e+154  [0.0000, 1.00e+154]",
+        "Omega      0.0000  [0.0000, 0.0000]",
+    ]
+    code, out, _ = run(capsys, "bounds", str(path))
+    assert code == 0
+    assert [line[:21] for line in out.splitlines()[1:5]] == [
+        "omega_max   1.00e+154", "zhao        1.00e+154", "wang        1.50e+154", "maxR        1.50e+154"]
+    # odd order: the n = 2 tensor's eigenvalues come in a pair +-1e154
+    path.write_text("tensor m=3 n=2\n1 1 1 1e154\n2 2 2 -3e153\n1 2 2 2e153\n")
+    for command in ("zeig", "verify"):
+        code, out, _ = run(capsys, command, str(path))
+        assert code == 0
+        assert [line[:10] for line in out.splitlines()[1:3]] == ["-1.00e+154", " 1.00e+154"]
+    # 4 decimals up to where they would round to 1e4 in magnitude
+    assert [cli_mod._fmt(v) for v in (9999.99994, -9999.99994, -9999.99996, 12345.678, None)] == [
+        "9999.9999", "-9999.9999", "-1.00e+04", "1.23e+04", "-"]
+
+
 def test_bounds_structured_field_order(capsys, example2_path, example2):
     code, out, _ = run(capsys, "bounds", example2_path, "--format", "structured")
     assert code == 0

@@ -60,7 +60,7 @@ def test_subset_and_uncovered():
 
 def test_degenerate_point_interval():
     s = IntervalSet.closed(0.0, 0.0)
-    assert not s.is_empty
+    assert s.intervals
     assert s.sup() == 0.0
 
 
