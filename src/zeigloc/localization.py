@@ -190,17 +190,14 @@ class ChainCheck:
     violations: tuple[ChainViolation, ...]
 
 
-def inclusion_chain_check(reports: dict[str, SetReport], slack: float | None = None) -> ChainCheck:
+def inclusion_chain_check(reports: dict[str, SetReport]) -> ChainCheck:
     """Verify Omega within Psi within L within K, the sets ``build_sets``
     returned, as interval-set containment.
 
-    When ``slack`` is omitted it scales with the outermost radius, so one-ulp
-    endpoint noise on large-magnitude tensors is not reported as a violation;
-    pass an explicit value to pin the tolerance.
+    The slack scales with the outermost radius, so one-ulp endpoint noise on
+    large-magnitude tensors is not reported as a violation.
     """
-    if slack is None:
-        outer = reports["K"].radius or 0.0
-        slack = CHAIN_SLACK * (1.0 + outer)
+    slack = CHAIN_SLACK * (1.0 + (reports["K"].radius or 0.0))
     violations = []
     for inner, outer in (("Omega", "Psi"), ("Psi", "L"), ("L", "K")):
         for interval in reports[inner].set.uncovered_by(reports[outer].set, slack):

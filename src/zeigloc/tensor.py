@@ -373,27 +373,22 @@ def _load_records(source, order: int, dim: int, skiprows: int):
 
 
 def _parse(text: str, path=None) -> Tensor:
-    """The tensor of ``text``.  numpy's reader reads the body in one call: by
-    ``path``, given that of the file that holds it with \\n its only line
-    break, and from the text's lines otherwise.  A body it refuses is read
-    line by line."""
-    lines = None
-    if path is None:
-        lines = text.splitlines()
-        head, order, dim, symmetric = _read_header(lines)
-        found = any(_RECORD_LINE.match(line) for line in itertools.islice(lines, head + 1, None))
-    else:
-        found = _RECORD_LINE.search(text)
-        end = text.find("\n", found.start()) if found else -1
-        if end < 0:  # no line after the header's
-            end = len(text)
-        head, order, dim, symmetric = _read_header(text[:end].splitlines())
-        found = _RECORD_LINE.search(text, end)
+    """The tensor of ``text``.  Its header is found in the text up to the end
+    of the first \\n-line that is neither blank nor only a comment, which
+    holds the header's line.  Given a record line after that, numpy's reader
+    reads the body in one call: by ``path``, given that of the file that
+    holds it with \\n its only line break, and otherwise from the text's
+    lines, split for that call alone.  Any other body is read line by line."""
+    found = _RECORD_LINE.search(text)
+    end = text.find("\n", found.start()) if found else -1
+    if end < 0:  # no line after the header's
+        end = len(text)
+    head, order, dim, symmetric = _read_header(text[:end].splitlines())
+    found = _RECORD_LINE.search(text, end)
     shape = (dim,) * order
-    parsed = _load_records(path or lines, order, dim, skiprows=head + 1) if found else None
+    parsed = _load_records(path or text.splitlines(), order, dim, skiprows=head + 1) if found else None
     if parsed is None:
-        lines = text.splitlines() if lines is None else lines
-        numbered = enumerate(itertools.islice(lines, head + 1, None), head + 2)
+        numbered = enumerate(itertools.islice(text.splitlines(), head + 1, None), head + 2)
         read = [r for r in (_read_record(raw, k, order, dim) for k, raw in numbered) if r is not None]
         parsed = np.array([r[0] for r in read], np.intp), np.array([r[1] for r in read])
         del read
@@ -421,7 +416,7 @@ def _parse(text: str, path=None) -> Tensor:
             k = np.flatnonzero(conflict)[np.argmin(perm[conflict])]
             g = group_first[k]
             idx = " ".join(str(i + 1) for i in np.unravel_index(keys[k], shape))
-            lines = text.splitlines() if lines is None else lines
+            lines = text.splitlines()
             body = [j for j in range(head + 1, len(lines)) if lines[j].split("#", 1)[0].strip()]
             raise TensorFormatError(
                 f"conflicting values {float(values[g])!r} and {float(values[k])!r} for entry {idx}",
@@ -471,17 +466,20 @@ def load_tensor(path) -> Tensor:
     """The tensor in the UTF-8 file at ``path``, read with universal newlines
     and without a leading byte-order mark.
 
-    A file of at least ``_READ_FROM_PATH`` characters, pure ASCII and with
-    none of ``_NUMPY_SPACES``, has the same lines for numpy's reader as for
-    ``str.splitlines``; its body goes to numpy's reader by path, which reads
-    the file in chunks and builds no string per line.  Any other file goes to
-    it as ``parse_tensor`` hands it a text: as a list of lines.  Either way a
-    body numpy refuses is read line by line.
+    A regular file of at least ``_READ_FROM_PATH`` characters, pure ASCII
+    and with none of ``_NUMPY_SPACES``, has the same lines for numpy's reader
+    as for ``str.splitlines``; its body goes to numpy's reader by path, which
+    reads the file in chunks and builds no string per line.  Any other file,
+    a pipe, a FIFO or ``/dev/stdin`` among them (a second open would find
+    them drained), goes to it as ``parse_tensor`` hands it a text: as a list
+    of lines, held only while numpy's reader reads it.  Either way the header
+    is found the same way, and a body numpy refuses is read line by line.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     by_path = (
         isinstance(path, (str, os.PathLike))
+        and os.path.isfile(path)
         and len(text) >= _READ_FROM_PATH
         and text.isascii()
         and not any(c in text for c in _NUMPY_SPACES)

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import inspect
 import os
 import pathlib
 import subprocess
@@ -81,6 +82,12 @@ def test_interval_set_and_oracle_config_keep_only_what_the_library_uses():
     for name in ("zeros", "entry"):
         assert not hasattr(Tensor, name), name
     assert tuple(f.name for f in dataclasses.fields(OracleConfig)) == ("starts", "seed")
+
+
+def test_inclusion_chain_check_takes_no_slack():
+    # its slack is CHAIN_SLACK * (1 + K radius); a test that wants a fixed
+    # one calls IntervalSet.uncovered_by itself
+    assert list(inspect.signature(zeigloc.inclusion_chain_check).parameters) == ["reports"]
 
 
 def test_import_refuses_a_numpy_that_reads_float_indices():

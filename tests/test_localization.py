@@ -234,8 +234,12 @@ def test_inclusion_chain_random_tensors():
         n = (2, 3, 4)[k % 3]
         low = -1.0 if k % 2 == 0 else 0.0
         A = random_tensor(rng, m, n, low=low, high=1.0)
-        chk = inclusion_chain_check(build_sets(row_aggregates(A)), slack=1e-12)
-        assert chk.ok, f"chain violated: {chk.violations}"
+        sets = build_sets(row_aggregates(A))
+        assert inclusion_chain_check(sets).ok
+        # the three containments at an absolute slack of 1e-12
+        for inner, outer in (("Omega", "Psi"), ("Psi", "L"), ("L", "K")):
+            gaps = sets[inner].set.uncovered_by(sets[outer].set, 1e-12)
+            assert not gaps, f"{inner} not within {outer}: {gaps}"
 
 
 def test_inclusion_chain_large_magnitude_entries():

@@ -539,7 +539,7 @@ def _assert_distinct_and_sorted(pairs):
     for p, q in itertools.combinations(pairs, 2):
         assert (
             abs(p.value - q.value) > DEDUPE_TOL
-            or oracle_mod._axis_angle(p.vector, q.vector) > ANGLE_TOL
+            or math.acos(min(1.0, abs(float(p.vector @ q.vector)))) > ANGLE_TOL
         ), (p, q)
     keys = [(p.value, tuple(p.vector)) for p in pairs]
     assert keys == sorted(keys)

@@ -8,6 +8,7 @@ file that holds it, which hands numpy's reader its path.
 """
 
 import itertools
+import os
 import sys
 import threading
 import tracemalloc
@@ -326,6 +327,24 @@ def test_comment_only_block_between_record_blocks(numpy_reads, tmp_path):
         assert numpy_reads.via == [via]
 
 
+# texts whose header's line shares a \n-line with a record or a comment:
+# the header is the first str.splitlines line neither blank nor only a comment
+HEADER_LINE_CASES = {
+    "record after \\f": ("ok", "tensor m=2 n=3\f1 1 1.0\n1 2 2.0\n2 3 0.5\n"),
+    "lone record after \\v": ("ok", "tensor m=2 n=3\v1 1 1.0\n"),
+    "header after \\v in a comment": ("ok", "# c\vtensor m=2 n=3\n1 1 1.0\n2 3 0.5\n"),
+    "header after \\u2028": ("ok", "# c\u2028tensor m=2 n=3\n1 1 1.0\n2 3 0.5\n"),
+    "bad record after \\f": ("error", "tensor m=2 n=3\f1 x 1.0\n1 2 2.0\n"),
+    "conflict across \\f": ("error", "tensor m=2 n=3\f1 1 1.0\n1 1 2.0\n"),
+}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_header_line_edge_cases_match_the_scalar_reader(numpy_reads, tmp_path, route):
+    for name, (kind, text) in HEADER_LINE_CASES.items():
+        assert assert_same_outcome(text, reader(route, tmp_path))[0] == kind, name
+
+
 def test_numpy_reads_each_body_once(numpy_reads, tmp_path):
     # one call on the whole body, past 8192 lines too; a body numpy refuses
     # goes to the per-line reader, not to numpy's reader again
@@ -522,6 +541,34 @@ def test_load_by_path_holds_no_string_per_line(tmp_path):
         tracemalloc.stop()
     assert A.entries.tobytes() == parse_tensor(text).entries.tobytes()
     assert peak < len(text) + records + dense + 16 * n**m
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_load_from_a_pipe_hands_numpy_the_lines():
+    # reading drains a pipe: numpy's reader, given its path, would open it
+    # anew and find no data, so it gets the text's lines
+    n = 20
+    text = f"tensor m=3 n={n}\n" + "".join(
+        f"{i} {j} {k} {(i * j + k) % 7 / 7}\n"
+        for i, j, k in itertools.product(range(1, n + 1), repeat=3))
+    assert len(text) >= tensor_module._READ_FROM_PATH and text.isascii()
+    read_end, write_end = os.pipe()
+
+    def write():
+        with os.fdopen(write_end, "w") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            A = tensor_module.load_tensor(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)  # a writer still blocked gets a broken pipe
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert A.entries.tobytes() == parse_tensor(text).entries.tobytes()
 
 
 def test_oversized_header_is_refused_before_allocating():
